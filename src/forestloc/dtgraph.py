@@ -4,7 +4,9 @@ The graph couples the triangulation (vertices, CCW triangles, shared-edge
 adjacency, convex-hull membership) with a per-triangle shape descriptor
 (area, squared perimeter) and the derived "triangle stars" used by the
 matcher: a center triangle together with its three edge-adjacent
-neighbors, summarized as an 8-component feature vector.
+neighbors, summarized as an 8-component feature vector.  A kd-tree over
+the logs of those vectors lets the matcher find similar stars without
+scanning the whole table.
 
 Descriptors are computed from each triangle's coordinates sorted
 lexicographically, so they come out bitwise identical no matter how the
@@ -19,10 +21,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull, Delaunay, QhullError
+from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
 
 from .errors import DegeneratePointSetError
 from .geometry import as_points2
+
+# |log| of a positive finite double is below 745, so this is farther from
+# any of them than a finite Chebyshev radius (-log1p(-tol) < 37 for tol < 1).
+_FAR_LOG = 1500.0
 
 
 def _canonical_coords(coords: np.ndarray) -> np.ndarray:
@@ -52,6 +58,20 @@ def triangle_descriptors(coords) -> tuple[np.ndarray, np.ndarray]:
         + np.linalg.norm(a - c, axis=1)
     )
     return areas, per * per
+
+
+def log_star_features(features) -> np.ndarray:
+    """Natural log of star feature vectors, made finite for a kd-tree.
+
+    Relative deviation becomes distance: |g - f| <= tol * f puts log g
+    within -log1p(-tol) of log f.  A zero feature (a zero-area triangle
+    in a loaded graph) maps to -_FAR_LOG and an overflowed or NaN one to
+    +_FAR_LOG; neither passes a relative tolerance below 1 against a
+    positive finite feature, and both lie beyond any radius for one.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(np.asarray(features, dtype=float))
+    return np.nan_to_num(logs, nan=_FAR_LOG, posinf=_FAR_LOG, neginf=-_FAR_LOG)
 
 
 @dataclass(frozen=True)
@@ -201,6 +221,11 @@ class DTGraph:
         if not self.interior_stars:
             return np.zeros((0, 8))
         return np.vstack([s.features for s in self.interior_stars])
+
+    @cached_property
+    def star_index(self) -> cKDTree:
+        """kd-tree over log_star_features(star_features), rows aligned."""
+        return cKDTree(log_star_features(self.star_features))
 
 
 def triangulate(landmarks) -> DTGraph:

@@ -1,15 +1,16 @@
 """Matching a local triangulation against the global map.
 
 The pipeline per local star: find global stars with componentwise-similar
-feature vectors, pair up the 6 star vertices (most-similar center edge,
-then an orientation side test, then neighbor apexes via the shared
-edges), and fit a rigid transform per candidate from the centered-vector
-rotation candidates.  Verification then scores every surviving candidate
-transform (plus their componentwise median) on the summed pair residual
-of all matched vertices and polishes the best one by iteratively
-reweighted least squares, each step a closed-form weighted Procrustes
-fit.  The returned transform maps local coordinates into the global
-frame.
+feature vectors (the map's log-feature kd-tree narrows the search, an
+exact relative-tolerance test decides), pair up the 6 star vertices
+(most-similar center edge, then an orientation side test, then neighbor
+apexes via the shared edges), and fit a rigid transform per candidate
+from the centered-vector rotation candidates.  Verification then scores
+every surviving candidate transform (plus their componentwise median) on
+the summed pair residual of all matched vertices and polishes the best
+one by iteratively reweighted least squares, each step a closed-form
+weighted Procrustes fit.  The returned transform maps local coordinates
+into the global frame.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import permutations
 import numpy as np
 from scipy.optimize import minimize
 
-from .dtgraph import DTGraph, TriangleDescriptor, TriangleStar
+from .dtgraph import DTGraph, TriangleDescriptor, TriangleStar, log_star_features
 from .errors import (
     AmbiguousCorrespondenceError,
     DegenerateStarError,
@@ -35,6 +36,10 @@ from .geometry import RigidTransform2D, normalize_angle
 _IRLS_RTOL = 1e-12  # stop once a step lowers the residual by less than this fraction
 _IRLS_MAX_ITER = 2000  # safety bound only; convergence ends the loop in practice
 _IRLS_MIN_DIST = 1e-12  # meters: floor under 1/d so exact pairs keep a finite weight
+# Star-index search pad: relative on the tolerance and absolute on the
+# log-space radius, far above the rounding of either test.
+_INDEX_PAD = 1e-9
+_INDEX_CHUNK = 64  # local stars per index query: bounds the live hit lists
 
 
 @dataclass(frozen=True)
@@ -128,17 +133,49 @@ def orientation_consistency(a, b, c, m, n, h) -> float:
     return _cross2(a - c, b - c) * _cross2(m - h, n - h)
 
 
-def _candidate_indices(features: np.ndarray, global_features: np.ndarray, params: MatchParams):
-    """Indices of tolerance-passing global stars, by ascending total deviation."""
-    if len(global_features) == 0:
+def _candidate_indices(
+    features: np.ndarray, global_features: np.ndarray, params: MatchParams, rows=None
+):
+    """Indices of tolerance-passing global stars, by ascending total deviation.
+
+    Only the given rows of global_features are tested; all rows by default.
+    Ties in deviation go to the lower index.
+    """
+    if rows is None:
+        rows = np.arange(len(global_features))
+    if len(rows) == 0:
         return []
-    rel = np.abs(global_features - features) / features
-    ok = np.flatnonzero((rel <= params.feature_tolerance).all(axis=1))
-    if len(ok) == 0:
+    rel = np.abs(global_features[rows] - features) / features
+    ok = (rel <= params.feature_tolerance).all(axis=1)
+    if not ok.any():
         return []
+    idx = rows[ok]
     dev = rel[ok].sum(axis=1)
-    order = np.lexsort((ok, dev))
-    return list(ok[order[: params.max_candidates_per_star]])
+    order = np.lexsort((idx, dev))
+    return list(idx[order[: params.max_candidates_per_star]])
+
+
+def _index_hits(graph_map: DTGraph, local_features: np.ndarray, tolerance: float):
+    """Per local star in turn, the map-star rows the star index cannot rule out.
+
+    For tol < 1, |g - f| <= tol * f puts every log feature of g within
+    -log1p(-tol) of f's (the wider side of the band).  The tolerance and
+    the radius are both padded by _INDEX_PAD, so a star the exact test
+    keeps is always a hit.  From tolerance 1 on the band has no lower
+    end, and every map star is a hit.
+    """
+    padded = tolerance * (1.0 + _INDEX_PAD)
+    if not padded < 1.0:
+        every = np.arange(len(graph_map.star_features))
+        for _ in range(len(local_features)):
+            yield every
+        return
+    radius = _INDEX_PAD - math.log1p(-padded)
+    logs = log_star_features(local_features)
+    for start in range(0, len(logs), _INDEX_CHUNK):
+        chunk = logs[start : start + _INDEX_CHUNK]
+        for hits in graph_map.star_index.query_ball_point(chunk, radius, p=np.inf):
+            yield np.array(hits, dtype=np.intp)
 
 
 def find_candidate_stars(local_star: TriangleStar, global_stars, params: MatchParams | None = None):
@@ -402,10 +439,11 @@ def _accepted_correspondences(graph_local, graph_map, params):
     """Per local star, the lowest-residual tolerance-passing candidate."""
     global_stars = graph_map.interior_stars
     feats = graph_map.star_features
+    hits = _index_hits(graph_map, graph_local.star_features, params.feature_tolerance)
     accepted = []
     candidate_count = 0
-    for ls in graph_local.interior_stars:
-        idx = _candidate_indices(ls.features, feats, params)
+    for ls, rows in zip(graph_local.interior_stars, hits):
+        idx = _candidate_indices(ls.features, feats, params, rows)
         candidate_count += len(idx)
         best = None
         for i in idx:
@@ -431,18 +469,16 @@ def localize(
     graph_local: DTGraph,
     graph_map: DTGraph,
     params: MatchParams | None = None,
-    initial: RigidTransform2D | None = None,
 ) -> LocalizationResult:
     """Estimate the rigid transform taking local coordinates to map coordinates.
 
     Raises NoOverlapError when no local star finds any feature candidate,
     and InsufficientMatchesError when fewer than min_matches stars match.
-    The optional initial pose is accepted but unused: the verification
-    start is chosen from the candidate transforms alone.
     """
     params = params or MatchParams()
     t_start = time.perf_counter()
     graph_map.star_features  # build the offline side first so timings split cleanly
+    graph_map.star_index
     graph_local.star_features
     t_stars = time.perf_counter()
     accepted, candidate_count = _accepted_correspondences(graph_local, graph_map, params)

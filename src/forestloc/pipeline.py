@@ -43,7 +43,6 @@ def run_pipeline(
     graph_map: DTGraph,
     extraction: TrunkExtractionParams | None = None,
     match: MatchParams | None = None,
-    initial: RigidTransform2D | None = None,
 ) -> PipelineResult:
     """Extract trunks, triangulate, and localize; stage timings recorded.
 
@@ -61,7 +60,7 @@ def run_pipeline(
         timings["triangulate"] = time.perf_counter() - t0
         stage = "localize"
         t0 = time.perf_counter()
-        result = localize(graph_local, graph_map, match, initial)
+        result = localize(graph_local, graph_map, match)
         timings["localize"] = time.perf_counter() - t0
     except ForestLocError as exc:
         exc.stage = stage
@@ -156,7 +155,8 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None):
         ForestSpec(area=config.area, density=config.density, seed=config.seed)
     )
     graph_map = triangulate(forest.to_trunk_map())
-    graph_map.star_features  # build the offline star table once, outside the timings
+    graph_map.star_features  # build the offline star table and index once, outside the timings
+    graph_map.star_index
     rng = np.random.default_rng(config.seed + 1)
     w, h = config.area
     m = config.margin

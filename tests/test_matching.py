@@ -1,12 +1,21 @@
 """Tests for forestloc.matching — candidates, correspondence, transforms, localize."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from forestloc.dtgraph import TriangleDescriptor, select_interior_stars, triangulate
+import forestloc.matching
+from forestloc.dtgraph import (
+    TriangleDescriptor,
+    load_graph,
+    select_interior_stars,
+    triangle_descriptors,
+    triangulate,
+)
 from forestloc.errors import (
+    ForestLocError,
     InsufficientMatchesError,
     NoOverlapError,
     SizeCapError,
@@ -329,17 +338,6 @@ def test_localize_stateless():
     assert r1.match_count == r2.match_count
 
 
-def test_localize_initial_does_not_change_result():
-    g_map, g_loc, _ = make_instance(18)
-    base = localize(g_loc, g_map)
-    seeded = localize(
-        g_loc, g_map, initial=RigidTransform2D(1.0, np.array([40.0, -3.0]))
-    )
-    assert base.pose.theta == seeded.pose.theta
-    np.testing.assert_array_equal(base.pose.t, seeded.pose.t)
-    assert base.residual == seeded.residual
-
-
 def test_localize_argmin_contract():
     """Final residual never exceeds any accepted candidate transform's."""
     g_map, g_loc, _ = make_instance(19, noise=0.03)
@@ -469,3 +467,112 @@ def test_pipeline_matches_oracle_squared_residual():
         want = sorted((c.star_local.center, c.star_global.center) for c in orc.correspondences)
         assert got == want
         checked += 1
+
+
+def linear_scan_candidates(g_loc, g_map, params):
+    """Per local star in order, its candidate map-star centers, by a full scan.
+
+    A map star passes when every feature's relative deviation from the
+    local star's is within tolerance; passing stars are ordered by summed
+    deviation, then table index, and capped.
+    """
+    table = g_map.star_features
+    out = []
+    for ls in g_loc.interior_stars:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.abs(table - ls.features) / ls.features
+        passing = [
+            i for i in range(len(table)) if all(r <= params.feature_tolerance for r in rel[i])
+        ]
+        passing.sort(key=lambda i: (rel[i].sum(), i))
+        out.append(
+            [g_map.interior_stars[i].center for i in passing[: params.max_candidates_per_star]]
+        )
+    return out
+
+
+def localize_recording_candidates(monkeypatch, g_loc, g_map, params):
+    """localize's outcome plus, per local star, the candidate centers it tried.
+
+    The outcome is the result, or the type of the ForestLocError raised.
+    """
+    tried = {ls.center: [] for ls in g_loc.interior_stars}
+    real = forestloc.matching.correspond_vertices
+
+    def spy(star_local, star_global, *args, **kwargs):
+        tried[star_local.center].append(star_global.center)
+        return real(star_local, star_global, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(forestloc.matching, "correspond_vertices", spy)
+        try:
+            outcome = localize(g_loc, g_map, params)
+        except ForestLocError as exc:
+            outcome = type(exc)
+    return outcome, [tried[ls.center] for ls in g_loc.interior_stars]
+
+
+@pytest.mark.parametrize("tolerance", [0.05, 0.8, 1.0, 1.5])
+def test_candidates_match_linear_scan(monkeypatch, tolerance):
+    """The star index finds exactly the candidates a full scan finds."""
+    params = MatchParams(feature_tolerance=tolerance)
+    for seed in (31, 32, 33):
+        g_map, g_loc, _ = make_instance(seed, noise=0.02)
+        _, got = localize_recording_candidates(monkeypatch, g_loc, g_map, params)
+        assert got == linear_scan_candidates(g_loc, g_map, params)
+
+
+def test_candidate_at_exact_tolerance_kept(monkeypatch):
+    """A map star deviating by exactly the tolerance is still a candidate.
+
+    The map is the local landmarks shrunk by 0.9996, so every map feature
+    lies below its local partner; the tolerance is set to the pair's
+    largest relative deviation, as the matcher computes it.
+    """
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(0, 40, (30, 2))
+    g_loc = triangulate(pts)
+    g_map = triangulate(pts * 0.9996)
+    np.testing.assert_array_equal(g_map.triangles, g_loc.triangles)
+    assert len(g_loc.interior_stars) >= 5
+    for k, (ls, gs) in enumerate(zip(g_loc.interior_stars, g_map.interior_stars)):
+        assert gs.center == ls.center
+        tolerance = float((np.abs(gs.features - ls.features) / ls.features).max())
+        params = MatchParams(feature_tolerance=tolerance)
+        _, got = localize_recording_candidates(monkeypatch, g_loc, g_map, params)
+        assert gs.center in got[k]
+
+
+def save_with_flat_triangle(graph, path):
+    """Write graph in save_graph's layout after moving one star's center corner.
+
+    The corner lands on another one, so the star's center triangle has
+    exactly zero area; load_graph reads such a file back.
+    """
+    star = graph.interior_stars[len(graph.interior_stars) // 2]
+    a, _, c = star.center_vertices
+    pts = graph.points.copy()
+    pts[c] = pts[a]
+    areas, sq_per = triangle_descriptors(pts[graph.triangles])
+    data = {
+        "vertices": [[i, float(x), float(y)] for i, (x, y) in enumerate(pts)],
+        "triangles": [[i, *map(int, t)] for i, t in enumerate(graph.triangles)],
+        "descriptors": [[i, float(x), float(y)] for i, (x, y) in enumerate(zip(areas, sq_per))],
+    }
+    path.write_text(json.dumps(data))
+    return load_graph(path)
+
+
+@pytest.mark.parametrize("tolerance", [0.05, 1.0])
+def test_zero_area_triangle_in_loaded_graphs(monkeypatch, tmp_path, tolerance):
+    """Zero features from a loaded graph neither break nor change the search."""
+    params = MatchParams(feature_tolerance=tolerance)
+    g_map, g_loc, truth = make_instance(34, n=150, extent=80.0, window=50.0)
+    flat_map = save_with_flat_triangle(g_map, tmp_path / "map.json")
+    flat_loc = save_with_flat_triangle(g_loc, tmp_path / "local.json")
+    assert (flat_map.star_features == 0).any() and (flat_loc.star_features == 0).any()
+    for local, global_ in ((g_loc, flat_map), (flat_loc, g_map)):
+        outcome, got = localize_recording_candidates(monkeypatch, local, global_, params)
+        assert got == linear_scan_candidates(local, global_, params)
+        assert np.hypot(*(outcome.pose.t - truth.t)) < 1e-6
+        assert abs(normalize_angle(outcome.pose.theta - truth.theta)) < 1e-9

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from forestloc.errors import EmptyCloudError
-from forestloc.geometry import SpatialIndex3
 from forestloc.trunks import (
     TrunkExtractionParams,
     TrunkMap,
@@ -25,11 +24,11 @@ def make_cylinder(cx, cy, radius=0.15, height=4.0, n=500, seed=0):
 
 
 def probe_oracle(cloud, params):
-    """Direct evaluation of the probe test via the spatial index."""
-    idx = SpatialIndex3(cloud)
+    """Direct evaluation of the probe test by a linear scan of the cloud."""
     keep = []
     for i, p in enumerate(cloud):
-        _, d = idx.nearest(p + [0.0, 0.0, params.probe_height])
+        probe = p + [0.0, 0.0, params.probe_height]
+        d = np.sqrt(((cloud - probe) ** 2).sum(axis=1)).min()
         if d <= params.probe_tolerance:
             keep.append(i)
     return keep
@@ -89,6 +88,14 @@ def test_probe_property_exhaustive():
     params = TrunkExtractionParams()
     got = sorted(map(int, select_trunk_points(cloud, params)))
     assert got == probe_oracle(cloud, params)
+
+
+def test_probe_keeps_point_at_exact_tolerance():
+    """A probe exactly probe_tolerance from a point keeps it (<=, not <)."""
+    cloud = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.25]])
+    params = TrunkExtractionParams(probe_tolerance=0.25)
+    assert probe_oracle(cloud, params) == [0]
+    assert list(map(int, select_trunk_points(cloud, params))) == [0]
 
 
 def test_cluster_two_groups():
