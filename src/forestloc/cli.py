@@ -14,8 +14,8 @@ from .dtgraph import load_graph, save_graph, triangulate
 from .errors import ForestLocError, InsufficientMatchesError, NoOverlapError
 from .geometry import RigidTransform2D, load_xyz, save_xyz
 from .matching import MatchParams, localize
-from .pipeline import BenchmarkConfig, run_benchmark
-from .simulator import ForestSpec, ScannerSpec, aggregate_scans, generate_forest, simulate_scan
+from .pipeline import BenchmarkConfig, _simulate_site, run_benchmark
+from .simulator import ForestSpec, ScannerSpec, aggregate_scans, generate_forest
 from .trunks import TrunkExtractionParams, TrunkMap, extract_trunk_map
 
 EXIT_OK = 0
@@ -186,18 +186,14 @@ def _cmd_simulate(args) -> int:
     with open(out / "poses.csv", "w", encoding="utf-8") as fh:
         fh.write("site_id,x,y,theta_deg\n")
         for site_id, pose in enumerate(poses):
-            scans = []
-            heading = pose.theta
-            for k in range(args.frames_per_site):
-                offset = np.array([math.cos(heading), math.sin(heading)]) * (
-                    args.spacing * k
-                )
-                scan_pose = RigidTransform2D(heading, pose.t + offset)
-                scans.append(
-                    simulate_scan(
-                        forest, scan_pose, scanner, seed=args.seed + 1000 * site_id + k
-                    )
-                )
+            scans = _simulate_site(
+                forest,
+                pose,
+                args.frames_per_site,
+                args.spacing,
+                scanner,
+                seed=args.seed + 1000 * site_id,
+            )
             cloud = aggregate_scans(scans)
             save_xyz(out / f"site_{site_id:03d}.xyz", cloud, comment=f"site {site_id}")
             fh.write(

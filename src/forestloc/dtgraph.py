@@ -12,6 +12,10 @@ Descriptors are computed from each triangle's coordinates sorted
 lexicographically, so they come out bitwise identical no matter how the
 triangulation happened to order the simplex, and identical feature
 vectors arise from permuted inputs over the same landmarks.
+
+triangulate is the only constructor of a DTGraph.  A graph file is read
+back by triangulating its vertices again and checking the stored
+triangles and descriptors against that rebuild.
 """
 
 from __future__ import annotations
@@ -25,10 +29,6 @@ from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
 
 from .errors import DegeneratePointSetError
 from .geometry import as_points2
-
-# |log| of a positive finite double is below 745, so this is farther from
-# any of them than a finite Chebyshev radius (-log1p(-tol) < 37 for tol < 1).
-_FAR_LOG = 1500.0
 
 
 def _canonical_coords(coords: np.ndarray) -> np.ndarray:
@@ -61,17 +61,13 @@ def triangle_descriptors(coords) -> tuple[np.ndarray, np.ndarray]:
 
 
 def log_star_features(features) -> np.ndarray:
-    """Natural log of star feature vectors, made finite for a kd-tree.
+    """Natural log of star feature vectors, the star index's coordinates.
 
     Relative deviation becomes distance: |g - f| <= tol * f puts log g
-    within -log1p(-tol) of log f.  A zero feature (a zero-area triangle
-    in a loaded graph) maps to -_FAR_LOG and an overflowed or NaN one to
-    +_FAR_LOG; neither passes a relative tolerance below 1 against a
-    positive finite feature, and both lie beyond any radius for one.
+    within -log1p(-tol) of log f.  Every feature is positive and finite,
+    because triangulate rejects a graph with any other descriptor.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(np.asarray(features, dtype=float))
-    return np.nan_to_num(logs, nan=_FAR_LOG, posinf=_FAR_LOG, neginf=-_FAR_LOG)
+    return np.log(np.asarray(features, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -232,7 +228,8 @@ def triangulate(landmarks) -> DTGraph:
     """Delaunay-triangulate a TrunkMap or (N, 2) coordinate array.
 
     Raises DegeneratePointSetError for fewer than 3 points, coincident
-    points, or an all-collinear set.
+    points, an all-collinear set, or a triangle whose area is not positive
+    or whose squared perimeter is not finite.
     """
     pts = getattr(landmarks, "positions", landmarks)
     pts = as_points2(pts)
@@ -257,7 +254,7 @@ def triangulate(landmarks) -> DTGraph:
     simplices[flip] = simplices[flip][:, [0, 2, 1]]
     neighbors[flip] = neighbors[flip][:, [0, 2, 1]]
     areas, sq_per = triangle_descriptors(pts[simplices])
-    if not (areas > 0.0).all():
+    if not ((areas > 0.0).all() and np.isfinite(sq_per).all()):
         raise DegeneratePointSetError("degenerate point set")
     hull = ConvexHull(pts)
     return DTGraph(
@@ -268,27 +265,6 @@ def triangulate(landmarks) -> DTGraph:
         sq_perimeters=sq_per,
         hull_vertices=frozenset(int(v) for v in hull.vertices),
     )
-
-
-def select_interior_stars(graph: DTGraph) -> tuple:
-    return graph.interior_stars
-
-
-def _adjacency_from_triangles(triangles: np.ndarray) -> np.ndarray:
-    nb = np.full(triangles.shape, -1, dtype=np.intp)
-    seen = {}
-    for t, verts in enumerate(triangles):
-        for k in range(3):
-            a, b = int(verts[(k + 1) % 3]), int(verts[(k + 2) % 3])
-            edge = (a, b) if a < b else (b, a)
-            other = seen.pop(edge, None)
-            if other is None:
-                seen[edge] = (t, k)
-            else:
-                t2, k2 = other
-                nb[t, k] = t2
-                nb[t2, k2] = t
-    return nb
 
 
 def save_graph(graph: DTGraph, path) -> None:
@@ -325,7 +301,14 @@ def save_graph(graph: DTGraph, path) -> None:
 
 
 def load_graph(path) -> DTGraph:
-    """Read a graph written by save_graph and rebuild derived structure."""
+    """Read a graph written by save_graph, checked against a rebuild.
+
+    The vertices are triangulated afresh, so a file meets the same
+    invariants as a graph built in memory.  The stored triangles must be
+    the rebuild's as a set of vertex triples (row order and the rotation
+    of a row do not matter), and each stored descriptor must agree with
+    the rebuilt one to 1e-6 relative; otherwise ValueError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     for key in ("vertices", "triangles", "descriptors"):
@@ -341,27 +324,21 @@ def load_graph(path) -> DTGraph:
     simplices = np.array([row[1:] for row in tris], dtype=np.intp).reshape(-1, 3)
     if len(simplices) == 0 or simplices.min() < 0 or simplices.max() >= len(pts):
         raise ValueError(f"{path}: triangle vertex id out of range")
-    coords = pts[simplices]
-    cross = (coords[:, 1, 0] - coords[:, 0, 0]) * (coords[:, 2, 1] - coords[:, 0, 1]) - (
-        coords[:, 1, 1] - coords[:, 0, 1]
-    ) * (coords[:, 2, 0] - coords[:, 0, 0])
-    flip = cross < 0
-    simplices[flip] = simplices[flip][:, [0, 2, 1]]
-    areas, sq_per = triangle_descriptors(pts[simplices])
     stored = np.array([row[1:] for row in data["descriptors"]], dtype=float).reshape(
         -1, 2
     )
     if len(stored) != len(simplices):
         raise ValueError(f"{path}: descriptor count does not match triangles")
-    scale = np.maximum(np.abs(stored), 1.0)
-    fresh = np.column_stack([areas, sq_per])
-    if np.any(np.abs(stored - fresh) > 1e-6 * scale):
+    graph = triangulate(pts)
+    # rows of sorted vertex triples, in lexicographic order on both sides
+    stored_tris = np.sort(simplices, axis=1)
+    built_tris = np.sort(graph.triangles, axis=1)
+    stored_order = np.lexsort(stored_tris.T[::-1])
+    built_order = np.lexsort(built_tris.T[::-1])
+    if not np.array_equal(stored_tris[stored_order], built_tris[built_order]):
+        raise ValueError(f"{path}: triangles are not the Delaunay triangulation of the vertices")
+    stored = stored[stored_order]
+    fresh = np.column_stack([graph.areas, graph.sq_perimeters])[built_order]
+    if np.any(np.abs(stored - fresh) > 1e-6 * np.maximum(np.abs(stored), 1.0)):
         raise ValueError(f"{path}: stored descriptors disagree with geometry")
-    return DTGraph(
-        points=pts,
-        triangles=simplices,
-        neighbors=_adjacency_from_triangles(simplices),
-        areas=areas,
-        sq_perimeters=sq_per,
-        hull_vertices=frozenset(int(v) for v in ConvexHull(pts).vertices),
-    )
+    return graph

@@ -1,4 +1,4 @@
-"""Planar rigid transforms, a 3D nearest-neighbor index, and point-cloud text I/O.
+"""Planar rigid transforms, point-set coercion, and point-cloud text I/O.
 
 Points are plain float arrays: shape (3,) / (N, 3) in 3D, (2,) / (N, 2) in
 the plane.  Coordinates are meters.
@@ -10,9 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-
-from .errors import EmptyCloudError
 
 TWO_PI = 2.0 * math.pi
 
@@ -89,49 +86,6 @@ class RigidTransform2D:
         c, s = math.cos(self.theta), math.sin(self.theta)
         rt = np.array([[c, s], [-s, c]])
         return RigidTransform2D(-self.theta, -(rt @ self.t))
-
-
-class SpatialIndex3:
-    """Immutable kd-tree index over a 3D cloud for nearest-neighbor queries.
-
-    Safe for concurrent read-only queries once built.  Ties (several points
-    at exactly the minimum distance) resolve to the lowest point index.
-    """
-
-    def __init__(self, cloud):
-        pts = as_cloud(cloud)
-        if len(pts) == 0:
-            raise EmptyCloudError("empty input cloud")
-        pts = pts.copy()
-        pts.flags.writeable = False
-        self._points = pts
-        self._tree = cKDTree(pts)
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    @property
-    def points(self) -> np.ndarray:
-        return self._points
-
-    def nearest(self, query) -> tuple[np.ndarray, float]:
-        """Return (point, distance) of the indexed point closest to ``query``."""
-        q = np.asarray(query, dtype=float).reshape(3)
-        dist, idx = self._tree.query(q)
-        # re-select among exact ties so the lowest index wins
-        ties = self._tree.query_ball_point(q, dist * (1.0 + 1e-12))
-        if len(ties) > 1:
-            ties = sorted(ties)
-            dists = np.linalg.norm(self._points[ties] - q, axis=1)
-            best = int(np.argmin(dists))  # first minimum = lowest index
-            idx, dist = ties[best], float(dists[best])
-        return self._points[int(idx)], float(dist)
-
-    def nearest_distances(self, queries) -> np.ndarray:
-        """Distances from each query point to its nearest indexed point."""
-        qs = as_cloud(queries)
-        dists, _ = self._tree.query(qs, workers=-1)
-        return dists
 
 
 def load_xyz(path) -> np.ndarray:

@@ -62,7 +62,7 @@ class MatchParams:
     edge_tie_tolerance: float = 1e-6
 
     def __post_init__(self):
-        if self.feature_tolerance <= 0:
+        if not self.feature_tolerance > 0:
             raise ValueError("feature_tolerance must be positive")
         if self.max_candidates_per_star < 1:
             raise ValueError("max_candidates_per_star must be at least 1")
@@ -322,9 +322,7 @@ def estimate_transform(
     c, s = math.cos(theta), math.sin(theta)
     t = cg - np.array([c * cl[0] - s * cl[1], s * cl[0] + c * cl[1]])
     transform = RigidTransform2D(theta, t)
-    moved = transform.apply(vl)
-    dists = np.linalg.norm(moved - vg, axis=1)
-    residual = float((dists**2).sum() if squared_residual else dists.sum())
+    residual = _residual((transform.theta, *transform.t), vl, vg, squared_residual)
     return replace(
         corr, candidate_angles=betas, transform=transform, residual=residual
     )
@@ -339,9 +337,7 @@ def verification_residual(
 ) -> float:
     """Summed pair distance over every matched vertex pair."""
     vl, vg = _stack_pairs(correspondences, points_local, points_global)
-    moved = transform.apply(vl)
-    d = np.linalg.norm(moved - vg, axis=1)
-    return float((d**2).sum() if squared_residual else d.sum())
+    return _residual((transform.theta, *transform.t), vl, vg, squared_residual)
 
 
 def _stack_pairs(correspondences, points_local, points_global):
@@ -382,6 +378,12 @@ def _pair_distances(theta, x, y, vl, vg) -> np.ndarray:
     return np.hypot(rx, ry)
 
 
+def _residual(pose, vl, vg, squared) -> float:
+    """Summed (or summed squared) pair distance under pose = (theta, x, y)."""
+    d = _pair_distances(*pose, vl, vg)
+    return float((d * d).sum() if squared else d.sum())
+
+
 def _weighted_procrustes(vl, vg, w):
     """Rigid (theta, x, y) minimizing sum w_i |R vl_i + t - vg_i|^2 (closed form)."""
     w = w / w.sum()
@@ -410,15 +412,10 @@ def _verify(vl, vg, seeds, squared):
     _IRLS_RTOL of its value.  The refined pose replaces the best seed only
     if its residual is lower.  Returns (beta, x, y, residual).
     """
-
-    def score(beta, x, y):
-        d = _pair_distances(beta, x, y, vl, vg)
-        return float((d * d).sum() if squared else d.sum())
-
-    best = min((score(*seed),) + tuple(seed) for seed in seeds)
+    best = min((_residual(seed, vl, vg, squared),) + tuple(seed) for seed in seeds)
     if squared:
         pose = _weighted_procrustes(vl, vg, np.ones(len(vl)))
-        refined = (score(*pose),) + pose
+        refined = (_residual(pose, vl, vg, squared),) + pose
     else:
         refined = best
         d = _pair_distances(*best[1:], vl, vg)

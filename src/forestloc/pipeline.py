@@ -131,16 +131,16 @@ class BenchmarkDetail:
     t_match: float
 
 
-def _simulate_site(forest, site_pose, n_frames, config, seed):
-    """Scans along a short straight path starting at site_pose."""
+def _simulate_site(forest, site_pose, n_frames, spacing, scanner, seed):
+    """Scans spacing meters apart along site_pose's heading; scan k gets seed + k."""
     scans = []
     heading = site_pose.theta
     for k in range(n_frames):
         offset = np.array(
             [math.cos(heading), math.sin(heading)]
-        ) * (config.frame_spacing * k)
+        ) * (spacing * k)
         pose = RigidTransform2D(heading, site_pose.t + offset)
-        scans.append(simulate_scan(forest, pose, config.scanner, seed=seed + k))
+        scans.append(simulate_scan(forest, pose, scanner, seed=seed + k))
     return scans
 
 
@@ -171,7 +171,12 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None):
     details = []
     for site_id, site_pose in enumerate(sites):
         scans = _simulate_site(
-            forest, site_pose, max_frames, config, seed=config.seed + 1000 * site_id
+            forest,
+            site_pose,
+            max_frames,
+            config.frame_spacing,
+            config.scanner,
+            seed=config.seed + 1000 * site_id,
         )
         for frames in config.frames_list:
             cloud = aggregate_scans(scans[:frames])

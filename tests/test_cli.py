@@ -15,7 +15,13 @@ from forestloc.cli import (
 )
 from forestloc.dtgraph import load_graph, save_graph, triangulate
 from forestloc.geometry import RigidTransform2D, save_xyz
-from forestloc.simulator import ForestSpec, aggregate_scans, generate_forest, simulate_scan
+from forestloc.simulator import (
+    ForestSpec,
+    ScannerSpec,
+    aggregate_scans,
+    generate_forest,
+    simulate_scan,
+)
 from forestloc.trunks import TrunkMap
 
 
@@ -203,6 +209,20 @@ def test_localize_no_overlap(scene, capsys):
     assert "no overlap" in capsys.readouterr().err
 
 
+def test_localize_nan_tolerance_rejected(scene, capsys):
+    base, _ = scene
+    code = main(
+        [
+            "localize",
+            "--map", str(base / "map.json"),
+            "--local", str(base / "local.json"),
+            "--tolerance", "nan",
+        ]
+    )
+    assert code == EXIT_ERROR
+    assert "feature_tolerance must be positive" in capsys.readouterr().err
+
+
 def test_bad_area_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["simulate", "--area", "huge", "--path", "p.csv", "--out", str(tmp_path)])
@@ -228,6 +248,13 @@ def test_simulate(tmp_path, capsys):
     assert code == EXIT_OK
     assert (out / "trunks.csv").exists()
     assert len((out / "site_000.xyz").read_text().splitlines()) > 100
+    forest = generate_forest(ForestSpec(area=(60.0, 60.0), density=200.0, seed=11))
+    scanner = ScannerSpec(range_noise_sigma=0.03)
+    # site 0: heading 0, scans 1 m apart, scan k seeded with --seed + k
+    scan_poses = [RigidTransform2D(0.0, np.array([30.0 + k, 30.0])) for k in range(2)]
+    scans = [simulate_scan(forest, p, scanner, seed=11 + k) for k, p in enumerate(scan_poses)]
+    save_xyz(tmp_path / "expected.xyz", aggregate_scans(scans), comment="site 0")
+    assert (out / "site_000.xyz").read_bytes() == (tmp_path / "expected.xyz").read_bytes()
     assert (out / "site_001.xyz").exists()
     poses = (out / "poses.csv").read_text().splitlines()
     assert poses[0] == "site_id,x,y,theta_deg"

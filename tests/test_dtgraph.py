@@ -1,5 +1,6 @@
 """Tests for forestloc.dtgraph — triangulation, descriptors, stars, graph files."""
 
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from forestloc.dtgraph import (
     DTGraph,
     load_graph,
     save_graph,
-    select_interior_stars,
     triangle_descriptors,
     triangulate,
 )
@@ -211,20 +211,20 @@ def test_isoperimetric_invariant():
 
 def test_single_triangle_no_stars():
     g = triangulate(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    assert select_interior_stars(g) == ()
+    assert g.interior_stars == ()
 
 
 def test_grid_3x3_stars_match_oracle():
     pts = np.array([[float(i), float(j)] for i in range(3) for j in range(3)])
     g = triangulate(pts)
-    got = sorted(s.center for s in select_interior_stars(g))
+    got = sorted(s.center for s in g.interior_stars)
     assert got == enumerate_stars_oracle(g)
 
 
 def test_grid_4x4_stars_match_oracle():
     pts = np.array([[float(i), float(j)] for i in range(4) for j in range(4)])
     g = triangulate(pts)
-    stars = select_interior_stars(g)
+    stars = g.interior_stars
     assert len(stars) > 0
     assert sorted(s.center for s in stars) == enumerate_stars_oracle(g)
 
@@ -233,7 +233,7 @@ def test_random_graph_star_predicates():
     """Exhaustive check: 3 neighbors and zero hull vertices per star."""
     rng = np.random.default_rng(9)
     g = triangulate(rng.uniform(0, 80, (200, 2)))
-    stars = select_interior_stars(g)
+    stars = g.interior_stars
     assert sorted(s.center for s in stars) == enumerate_stars_oracle(g)
     for s in stars:
         assert (g.neighbors[s.center] >= 0).all()
@@ -245,7 +245,7 @@ def test_star_features_layout():
     """features = [A0,l0,A1,l1,A2,l2,A3,l3] with neighbors in canonical order."""
     rng = np.random.default_rng(10)
     g = triangulate(rng.uniform(0, 60, (120, 2)))
-    for s in select_interior_stars(g)[:20]:
+    for s in g.interior_stars[:20]:
         d0 = g.descriptor(s.center)
         assert s.features[0] == d0.area and s.features[1] == d0.sq_perimeter
         keys = []
@@ -267,7 +267,7 @@ def test_canonical_order_input_permutation():
 
     def star_table(g):
         table = {}
-        for s in select_interior_stars(g):
+        for s in g.interior_stars:
             key = tuple(sorted(map(tuple, g.points[list(s.center_vertices)])))
             table[key] = tuple(s.features)
         return table
@@ -282,7 +282,7 @@ def test_apex_vertices():
     """Each apex is the neighbor's vertex not shared with the center."""
     rng = np.random.default_rng(12)
     g = triangulate(rng.uniform(0, 60, (100, 2)))
-    for s in select_interior_stars(g):
+    for s in g.interior_stars:
         center_set = set(map(int, g.triangles[s.center]))
         for nb, apex in zip(s.neighbors, s.apex_vertices):
             nb_set = set(map(int, g.triangles[nb]))
@@ -315,3 +315,62 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text('{"vertices": [[0, 0.0, 0.0]]}')
     with pytest.raises(ValueError):
         load_graph(path)
+
+
+def write_graph_file(path, points, triangles):
+    """Write points and triangles in save_graph's layout, descriptors true to both."""
+    areas, sq_per = triangle_descriptors(points[triangles])
+    data = {
+        "vertices": [[i, float(x), float(y)] for i, (x, y) in enumerate(points)],
+        "triangles": [[i, *map(int, t)] for i, t in enumerate(triangles)],
+        "descriptors": [[i, float(a), float(l)] for i, (a, l) in enumerate(zip(areas, sq_per))],
+    }
+    path.write_text(json.dumps(data))
+
+
+def test_load_rejects_flipped_edge(tmp_path):
+    """Flipping one interior edge leaves a valid, non-Delaunay triangulation."""
+    rng = np.random.default_rng(15)
+    g = triangulate(rng.uniform(0, 50, (60, 2)))
+    tris = g.triangles.copy()
+    for t, k in zip(*np.nonzero(g.neighbors >= 0)):
+        nb = g.neighbors[t, k]
+        c, a, b = (tris[t, (k + j) % 3] for j in range(3))
+        (d,) = set(map(int, tris[nb])) - {a, b}
+        flipped = np.array([[c, a, d], [c, d, b]])
+        p = g.points[flipped]
+        cross = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
+            p[:, 2, 0] - p[:, 0, 0]
+        ) * (p[:, 1, 1] - p[:, 0, 1])
+        if (cross > 0).all():  # convex quad: both new triangles are CCW
+            break
+    tris[[t, nb]] = flipped
+    path = tmp_path / "flipped.json"
+    write_graph_file(path, g.points, tris)
+    with pytest.raises(ValueError, match="not the Delaunay triangulation"):
+        load_graph(path)
+
+
+def test_load_rejects_dropped_triangle(tmp_path):
+    rng = np.random.default_rng(16)
+    g = triangulate(rng.uniform(0, 50, (60, 2)))
+    path = tmp_path / "dropped.json"
+    write_graph_file(path, g.points, np.delete(g.triangles, g.n_triangles // 2, axis=0))
+    with pytest.raises(ValueError, match="not the Delaunay triangulation"):
+        load_graph(path)
+
+
+def test_load_ignores_triangle_row_order_and_rotation(tmp_path):
+    rng = np.random.default_rng(17)
+    pts = rng.uniform(0, 50, (60, 2))
+    g = triangulate(pts)
+    tris = g.triangles[rng.permutation(g.n_triangles)]
+    shifts = rng.integers(0, 3, len(tris))
+    tris = np.array([np.roll(row, s) for row, s in zip(tris, shifts)])
+    assert (shifts > 0).any()
+    path = tmp_path / "shuffled.json"
+    write_graph_file(path, pts, tris)
+    back = load_graph(path)
+    for name in ("points", "triangles", "neighbors", "areas", "sq_perimeters", "star_features"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(g, name))
+    assert back.hull_vertices == g.hull_vertices

@@ -1,25 +1,11 @@
-"""Tests for forestloc.geometry — transforms, spatial index, xyz files."""
+"""Tests for forestloc.geometry — transforms, xyz files."""
 
 import math
 
 import numpy as np
 import pytest
 
-from forestloc.errors import EmptyCloudError
-from forestloc.geometry import (
-    RigidTransform2D,
-    SpatialIndex3,
-    load_xyz,
-    normalize_angle,
-    save_xyz,
-)
-
-
-def linear_scan_nearest(points, q):
-    """Exhaustive nearest neighbor, lowest index on ties."""
-    d = np.sqrt(((points - q) ** 2).sum(axis=1))
-    i = int(np.argmin(d))
-    return points[i], float(d[i])
+from forestloc.geometry import RigidTransform2D, load_xyz, normalize_angle, save_xyz
 
 
 def test_normalize_angle_range():
@@ -129,65 +115,6 @@ def test_theta_normalized_after_compose():
     B = RigidTransform2D(3.0, np.zeros(2))
     C = A.compose(B)
     assert -math.pi < C.theta <= math.pi
-
-
-def test_index_single_point():
-    idx = SpatialIndex3(np.array([[0.0, 0.0, 0.0]]))
-    p, d = idx.nearest(np.array([5.0, 5.0, 5.0]))
-    np.testing.assert_allclose(p, [0.0, 0.0, 0.0])
-    assert math.isclose(d, math.sqrt(75))
-
-
-def test_index_two_points():
-    idx = SpatialIndex3(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
-    p, d = idx.nearest(np.array([0.6, 0.0, 0.0]))
-    np.testing.assert_allclose(p, [1.0, 0.0, 0.0])
-    assert math.isclose(d, 0.4)
-
-
-def test_index_query_on_indexed_point():
-    pts = np.array([[float(i), float(j), 0.0] for i in range(4) for j in range(4)])
-    idx = SpatialIndex3(pts)
-    p, d = idx.nearest(np.array([2.0, 3.0, 0.0]))
-    np.testing.assert_allclose(p, [2.0, 3.0, 0.0])
-    assert d == 0.0
-
-
-def test_index_matches_linear_scan():
-    rng = np.random.default_rng(5)
-    pts = rng.uniform(-10, 10, (1000, 3))
-    idx = SpatialIndex3(pts)
-    for _ in range(100):
-        q = rng.uniform(-12, 12, 3)
-        p, d = idx.nearest(q)
-        p_ref, d_ref = linear_scan_nearest(pts, q)
-        np.testing.assert_allclose(p, p_ref)
-        assert math.isclose(d, d_ref, rel_tol=1e-12)
-
-
-def test_index_tie_lowest_index():
-    # two points equidistant from the query
-    pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-    idx = SpatialIndex3(pts)
-    p, d = idx.nearest(np.zeros(3))
-    np.testing.assert_allclose(p, [1.0, 0.0, 0.0])
-    assert math.isclose(d, 1.0)
-
-
-def test_index_empty_cloud_rejected():
-    with pytest.raises(EmptyCloudError, match="empty input cloud"):
-        SpatialIndex3(np.zeros((0, 3)))
-
-
-def test_nearest_distances_batch():
-    rng = np.random.default_rng(6)
-    pts = rng.uniform(0, 5, (200, 3))
-    queries = rng.uniform(0, 5, (50, 3))
-    idx = SpatialIndex3(pts)
-    dists = idx.nearest_distances(queries)
-    for q, d in zip(queries, dists):
-        _, d_ref = linear_scan_nearest(pts, q)
-        assert math.isclose(d, d_ref, rel_tol=1e-12)
 
 
 def test_xyz_round_trip(tmp_path):
