@@ -564,9 +564,20 @@ def save_with_flat_triangle(graph, path):
     path.write_text(json.dumps(data))
 
 
-def test_flat_triangle_file_rejected(tmp_path):
-    """A graph file with a zero-area triangle fails its rebuild on load."""
-    g_map, _, _ = make_instance(34, n=150, extent=80.0, window=50.0)
-    save_with_flat_triangle(g_map, tmp_path / "map.json")
-    with pytest.raises(DegeneratePointSetError, match="degenerate point set"):
-        load_graph(tmp_path / "map.json")
+@pytest.mark.parametrize("tolerance", [0.05, 1.0])
+def test_zero_area_triangle_in_loaded_graphs(monkeypatch, tmp_path, tolerance):
+    """A graph file with a zero-area triangle fails its rebuild on load.
+
+    Neither the map nor the local graph can bring zero features into the
+    search; the intact graphs still match a full scan and the true pose.
+    """
+    params = MatchParams(feature_tolerance=tolerance)
+    g_map, g_loc, truth = make_instance(34, n=150, extent=80.0, window=50.0)
+    for graph, name in ((g_map, "map.json"), (g_loc, "local.json")):
+        save_with_flat_triangle(graph, tmp_path / name)
+        with pytest.raises(DegeneratePointSetError, match="degenerate point set"):
+            load_graph(tmp_path / name)
+    outcome, got = localize_recording_candidates(monkeypatch, g_loc, g_map, params)
+    assert got == linear_scan_candidates(g_loc, g_map, params)
+    assert np.hypot(*(outcome.pose.t - truth.t)) < 1e-6
+    assert abs(normalize_angle(outcome.pose.theta - truth.theta)) < 1e-9
