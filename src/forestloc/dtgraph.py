@@ -311,9 +311,13 @@ def load_graph(path) -> DTGraph:
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    for key in ("vertices", "triangles", "descriptors"):
+    for key, width in (("vertices", 3), ("triangles", 4), ("descriptors", 3)):
         if key not in data:
             raise ValueError(f"{path}: missing key {key!r}")
+        if not isinstance(data[key], list) or not all(
+            isinstance(row, list) and len(row) == width for row in data[key]
+        ):
+            raise ValueError(f"{path}: {key} rows must be lists of {width} entries")
     verts = data["vertices"]
     if [row[0] for row in verts] != list(range(len(verts))):
         raise ValueError(f"{path}: vertex ids not contiguous from 0")

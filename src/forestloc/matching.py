@@ -3,14 +3,14 @@
 The pipeline per local star: find global stars with componentwise-similar
 feature vectors (the map's log-feature kd-tree narrows the search, an
 exact relative-tolerance test decides), pair up the 6 star vertices
-(most-similar center edge, then an orientation side test, then neighbor
-apexes via the shared edges), and fit a rigid transform per candidate
-from the centered-vector rotation candidates.  Verification then scores
-every surviving candidate transform (plus their componentwise median) on
-the summed pair residual of all matched vertices and polishes the best
-one by iteratively reweighted least squares, each step a closed-form
-weighted Procrustes fit.  The returned transform maps local coordinates
-into the global frame.
+(the most-similar center edge fixes a rotation of the CCW corner order,
+and the neighbor apexes follow the shared edges), and fit a rigid
+transform per candidate from the centered-vector rotation candidates.
+Verification then scores every surviving candidate transform (plus
+their componentwise median) on the summed pair residual of all matched
+vertices and polishes the best one by iteratively reweighted least
+squares, each step a closed-form weighted Procrustes fit.  The returned
+transform maps local coordinates into the global frame.
 """
 
 from __future__ import annotations
@@ -40,36 +40,28 @@ _IRLS_MIN_DIST = 1e-12  # meters: floor under 1/d so exact pairs keep a finite w
 # log-space radius, far above the rounding of either test.
 _INDEX_PAD = 1e-9
 _INDEX_CHUNK = 64  # local stars per index query: bounds the live hit lists
+_MAX_CANDIDATES_PER_STAR = 8  # cap per local star, by ascending deviation
+# Center-edge pairings within this (m) of the best length difference count
+# as tied and are all evaluated.
+_EDGE_TIE_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
 class MatchParams:
-    """Tunables for candidate search and geometric verification.
+    """The matcher's two settings.
 
     feature_tolerance: max per-component relative deviation of an 8-vector.
-    max_candidates_per_star: cap per local star, by ascending deviation.
     min_matches: fewer accepted star matches than this is an error.
-    squared_residual: sum squared pair distances instead of unsquared;
-        verification then is a least-squares fit, solved in closed form.
-    edge_tie_tolerance: center-edge pairings within this of the best
-        length difference count as ambiguous and are all evaluated.
     """
 
     feature_tolerance: float = 0.05
-    max_candidates_per_star: int = 8
     min_matches: int = 1
-    squared_residual: bool = False
-    edge_tie_tolerance: float = 1e-6
 
     def __post_init__(self):
         if not self.feature_tolerance > 0:
             raise ValueError("feature_tolerance must be positive")
-        if self.max_candidates_per_star < 1:
-            raise ValueError("max_candidates_per_star must be at least 1")
         if self.min_matches < 1:
             raise ValueError("min_matches must be at least 1")
-        if self.edge_tie_tolerance < 0:
-            raise ValueError("edge_tie_tolerance must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -78,15 +70,13 @@ class Correspondence:
 
     local_vertices[i] pairs with global_vertices[i]; the first three are
     the center triangles' corners, the last three the neighbor apexes.
-    candidate_angles, transform, and residual are filled by
-    estimate_transform.
+    transform and residual are filled by estimate_transform.
     """
 
     star_local: TriangleStar
     star_global: TriangleStar
     local_vertices: tuple
     global_vertices: tuple
-    candidate_angles: np.ndarray | None = None
     transform: RigidTransform2D | None = None
     residual: float | None = None
 
@@ -96,6 +86,17 @@ class Correspondence:
 
 @dataclass(frozen=True)
 class LocalizationResult:
+    """The pose of the local frame in the map frame, and how it was found.
+
+    residual: summed pair distance under pose, over the vertex pairs of
+        the correspondences that the MAD filter keeps.
+    correspondences: every accepted correspondence, one per matched
+        local star (match_count of them), before the MAD filter.
+    candidate_count: tolerance-passing (local, map) star pairs tried.
+    elapsed: seconds per stage, keyed "stars", "matching", "verification",
+        and "total".
+    """
+
     pose: RigidTransform2D
     residual: float
     match_count: int
@@ -114,23 +115,6 @@ class OracleResult:
 def dissimilarity(d1: TriangleDescriptor, d2: TriangleDescriptor) -> float:
     """|A2 - A1| + |l2 - l1|: zero iff equal shape, symmetric, rigid-invariant."""
     return abs(d2.area - d1.area) + abs(d2.sq_perimeter - d1.sq_perimeter)
-
-
-def _cross2(u, v) -> float:
-    return float(u[0] * v[1] - u[1] * v[0])
-
-
-def orientation_consistency(a, b, c, m, n, h) -> float:
-    """Product of the two triangles' orientation cross products.
-
-    Positive when (a, b, c) and (m, n, h) wind the same way: the third
-    vertices then sit on the same side of their respective first edges.
-    Rigid motions of either triangle preserve the sign; reflecting one
-    flips it.
-    """
-    a, b, c = (np.asarray(p, dtype=float) for p in (a, b, c))
-    m, n, h = (np.asarray(p, dtype=float) for p in (m, n, h))
-    return _cross2(a - c, b - c) * _cross2(m - h, n - h)
 
 
 def _candidate_indices(
@@ -152,7 +136,7 @@ def _candidate_indices(
     idx = rows[ok]
     dev = rel[ok].sum(axis=1)
     order = np.lexsort((idx, dev))
-    return list(idx[order[: params.max_candidates_per_star]])
+    return list(idx[order[:_MAX_CANDIDATES_PER_STAR]])
 
 
 def _index_hits(graph_map: DTGraph, local_features: np.ndarray, tolerance: float):
@@ -178,50 +162,19 @@ def _index_hits(graph_map: DTGraph, local_features: np.ndarray, tolerance: float
             yield np.array(hits, dtype=np.intp)
 
 
-def find_candidate_stars(local_star: TriangleStar, global_stars, params: MatchParams | None = None):
-    """Global stars whose features match componentwise within tolerance."""
-    params = params or MatchParams()
-    global_stars = tuple(global_stars)
-    feats = (
-        np.vstack([s.features for s in global_stars])
-        if global_stars
-        else np.zeros((0, 8))
-    )
-    idx = _candidate_indices(local_star.features, feats, params)
-    return [global_stars[i] for i in idx]
-
-
 def _assemble_pairing(
-    star_local: TriangleStar,
-    star_global: TriangleStar,
-    points_local: np.ndarray,
-    points_global: np.ndarray,
-    j: int,
-    k: int,
+    star_local: TriangleStar, star_global: TriangleStar, offset: int
 ) -> Correspondence:
-    """Build the full 6-vertex pairing from one center-edge pairing.
+    """Build the full 6-vertex pairing from one rotation of the corner order.
 
-    Corner j of the local center triangle pairs with corner k of the
-    global one.  The side test (sign of the orientation product) settles
-    which of the two remaining corner pairings is geometrically
-    consistent, and the neighbor apexes follow the already-paired shared
-    edges.
+    Local center corner c pairs with global corner (c + offset) % 3.  Both
+    center triangles are CCW, so the rotations are the only pairings
+    that are not reflections.  The neighbor apexes follow the paired
+    corners opposite their shared edges.
     """
     lv = star_local.center_vertices
     gv = star_global.center_vertices
-    pa = points_local[lv[j]]
-    pb = points_local[lv[(j + 1) % 3]]
-    pc = points_local[lv[(j + 2) % 3]]
-    pm = points_global[gv[k]]
-    pn = points_global[gv[(k + 1) % 3]]
-    ph = points_global[gv[(k + 2) % 3]]
-    sigma = {j: k}
-    if orientation_consistency(pa, pb, pc, pm, pn, ph) >= 0.0:
-        sigma[(j + 1) % 3] = (k + 1) % 3
-        sigma[(j + 2) % 3] = (k + 2) % 3
-    else:
-        sigma[(j + 1) % 3] = (k + 2) % 3
-        sigma[(j + 2) % 3] = (k + 1) % 3
+    sigma = [(c + offset) % 3 for c in range(3)]
     apex_local = dict(zip(star_local.opposite_corners, star_local.apex_vertices))
     apex_global = dict(zip(star_global.opposite_corners, star_global.apex_vertices))
     local_ids = tuple(lv) + tuple(apex_local[c] for c in range(3))
@@ -241,16 +194,16 @@ def correspond_vertices(
     star_global: TriangleStar,
     points_local: np.ndarray,
     points_global: np.ndarray,
-    params: MatchParams | None = None,
 ) -> Correspondence:
     """Pair the 6 star vertices; the transform fields stay unfilled.
 
-    Center-edge pairings tied within edge_tie_tolerance of the most
-    similar length difference are all expanded to full pairings and
-    scored by post-transform residual; a residual tie within 1e-6 raises
-    "ambiguous correspondence".
+    Local corner j pairs with global corner k for the center-edge pair
+    (j, k) of most similar length, which fixes the rotation (k - j) % 3 of
+    the CCW corner order.  Center-edge pairs tied within
+    _EDGE_TIE_TOLERANCE of that length difference add their rotations;
+    when there are several, each is scored by post-transform residual,
+    and a residual tie within 1e-6 raises "ambiguous correspondence".
     """
-    params = params or MatchParams()
     lv = star_local.center_vertices
     gv = star_global.center_vertices
     pl = points_local[list(lv)]
@@ -260,12 +213,10 @@ def correspond_vertices(
     ge = np.array([np.linalg.norm(pg[(k + 1) % 3] - pg[(k + 2) % 3]) for k in range(3)])
     diff = np.abs(le[:, None] - ge[None, :])
     best = diff.min()
-    seeds = [(j, k) for j in range(3) for k in range(3) if diff[j, k] <= best + params.edge_tie_tolerance]
-    pairings = {}
-    for j, k in seeds:
-        corr = _assemble_pairing(star_local, star_global, points_local, points_global, j, k)
-        pairings.setdefault((corr.local_vertices, corr.global_vertices), corr)
-    candidates = list(pairings.values())
+    offsets = dict.fromkeys(
+        (k - j) % 3 for j in range(3) for k in range(3) if diff[j, k] <= best + _EDGE_TIE_TOLERANCE
+    )
+    candidates = [_assemble_pairing(star_local, star_global, o) for o in offsets]
     if len(candidates) == 1:
         return candidates[0]
     scored = []
@@ -287,7 +238,6 @@ def estimate_transform(
     corr: Correspondence,
     points_local: np.ndarray,
     points_global: np.ndarray,
-    squared_residual: bool = False,
 ) -> Correspondence:
     """Fit the rigid transform implied by a 6-vertex pairing.
 
@@ -296,7 +246,7 @@ def estimate_transform(
     error wins.  Vertices whose centered vector on either side is shorter
     than 1e-9 m contribute no candidate.  The translation then maps the
     rotated local centroid onto the global one.  Returns a copy of corr
-    with candidate_angles, transform, and residual filled.
+    with transform and residual filled.
     """
     vl = points_local[list(corr.local_vertices)]
     vg = points_global[list(corr.global_vertices)]
@@ -322,10 +272,8 @@ def estimate_transform(
     c, s = math.cos(theta), math.sin(theta)
     t = cg - np.array([c * cl[0] - s * cl[1], s * cl[0] + c * cl[1]])
     transform = RigidTransform2D(theta, t)
-    residual = _residual((transform.theta, *transform.t), vl, vg, squared_residual)
-    return replace(
-        corr, candidate_angles=betas, transform=transform, residual=residual
-    )
+    residual = _residual((transform.theta, *transform.t), vl, vg)
+    return replace(corr, transform=transform, residual=residual)
 
 
 def verification_residual(
@@ -333,11 +281,10 @@ def verification_residual(
     correspondences,
     points_local: np.ndarray,
     points_global: np.ndarray,
-    squared_residual: bool = False,
 ) -> float:
     """Summed pair distance over every matched vertex pair."""
     vl, vg = _stack_pairs(correspondences, points_local, points_global)
-    return _residual((transform.theta, *transform.t), vl, vg, squared_residual)
+    return _residual((transform.theta, *transform.t), vl, vg)
 
 
 def _stack_pairs(correspondences, points_local, points_global):
@@ -378,10 +325,9 @@ def _pair_distances(theta, x, y, vl, vg) -> np.ndarray:
     return np.hypot(rx, ry)
 
 
-def _residual(pose, vl, vg, squared) -> float:
-    """Summed (or summed squared) pair distance under pose = (theta, x, y)."""
-    d = _pair_distances(*pose, vl, vg)
-    return float((d * d).sum() if squared else d.sum())
+def _residual(pose, vl, vg) -> float:
+    """Summed pair distance under pose = (theta, x, y)."""
+    return float(_pair_distances(*pose, vl, vg).sum())
 
 
 def _weighted_procrustes(vl, vg, w):
@@ -398,35 +344,30 @@ def _weighted_procrustes(vl, vg, w):
     return theta, float(cg[0] - (c * cl[0] - s * cl[1])), float(cg[1] - (s * cl[0] + c * cl[1]))
 
 
-def _verify(vl, vg, seeds, squared):
+def _verify(vl, vg, seeds):
     """Minimize the summed pair residual, starting from the best seed.
 
     Every seed (beta, x, y) is scored directly; the lowest by
     (residual, beta, x, y) starts the solve, so seed order cannot change
-    the result.  The squared objective is a least-squares fit, solved
-    exactly by one uniform-weight Procrustes step.  The unsquared one is
-    minimized by Weiszfeld-style iteratively reweighted least squares:
-    each step is a Procrustes fit with weights 1/d_i from the current pair
-    distances, which never raises the summed distance (Weiszfeld 1937).
-    The loop stops once a step lowers the residual by less than
-    _IRLS_RTOL of its value.  The refined pose replaces the best seed only
-    if its residual is lower.  Returns (beta, x, y, residual).
+    the result.  The solve is Weiszfeld-style iteratively reweighted
+    least squares: each step is a Procrustes fit with weights 1/d_i from
+    the current pair distances, which never raises the summed distance
+    (Weiszfeld 1937).  The loop stops once a step lowers the residual by
+    less than _IRLS_RTOL of its value.  The refined pose replaces the
+    best seed only if its residual is lower.  Returns (beta, x, y,
+    residual).
     """
-    best = min((_residual(seed, vl, vg, squared),) + tuple(seed) for seed in seeds)
-    if squared:
-        pose = _weighted_procrustes(vl, vg, np.ones(len(vl)))
-        refined = (_residual(pose, vl, vg, squared),) + pose
-    else:
-        refined = best
-        d = _pair_distances(*best[1:], vl, vg)
-        for _ in range(_IRLS_MAX_ITER):
-            pose = _weighted_procrustes(vl, vg, 1.0 / np.maximum(d, _IRLS_MIN_DIST))
-            d = _pair_distances(*pose, vl, vg)
-            step = (float(d.sum()),) + pose
-            converged = refined[0] - step[0] <= _IRLS_RTOL * refined[0]
-            refined = min(refined, step)
-            if converged:
-                break
+    best = min((_residual(seed, vl, vg),) + tuple(seed) for seed in seeds)
+    refined = best
+    d = _pair_distances(*best[1:], vl, vg)
+    for _ in range(_IRLS_MAX_ITER):
+        pose = _weighted_procrustes(vl, vg, 1.0 / np.maximum(d, _IRLS_MIN_DIST))
+        d = _pair_distances(*pose, vl, vg)
+        step = (float(d.sum()),) + pose
+        converged = refined[0] - step[0] <= _IRLS_RTOL * refined[0]
+        refined = min(refined, step)
+        if converged:
+            break
     if refined[0] < best[0]:
         best = refined
     return best[1], best[2], best[3], best[0]
@@ -446,12 +387,8 @@ def _accepted_correspondences(graph_local, graph_map, params):
         for i in idx:
             gs = global_stars[i]
             try:
-                corr = correspond_vertices(
-                    ls, gs, graph_local.points, graph_map.points, params
-                )
-                est = estimate_transform(
-                    corr, graph_local.points, graph_map.points, params.squared_residual
-                )
+                corr = correspond_vertices(ls, gs, graph_local.points, graph_map.points)
+                est = estimate_transform(corr, graph_local.points, graph_map.points)
             except (AmbiguousCorrespondenceError, DegenerateStarError):
                 continue
             key = (est.residual, gs.center)
@@ -502,7 +439,7 @@ def localize(
             float(np.median(tys)),
         )
     )
-    beta, x, y, residual = _verify(vl, vg, seeds, params.squared_residual)
+    beta, x, y, residual = _verify(vl, vg, seeds)
     t_verify = time.perf_counter()
     pose = RigidTransform2D(beta, np.array([x, y]))
     return LocalizationResult(
@@ -557,9 +494,7 @@ def brute_force_match_oracle(
                     global_vertices=global_ids,
                 )
                 try:
-                    est = estimate_transform(
-                        corr, graph_local.points, graph_map.points, params.squared_residual
-                    )
+                    est = estimate_transform(corr, graph_local.points, graph_map.points)
                 except DegenerateStarError:
                     continue
                 key = (est.residual, gs.center, pi)
@@ -570,14 +505,12 @@ def brute_force_match_oracle(
     if not accepted:
         raise NoOverlapError("no overlap")
     vl, vg = _stack_pairs(accepted, graph_local.points, graph_map.points)
-    squared = params.squared_residual
 
     def objective(p):
         cb, sb = math.cos(p[0]), math.sin(p[0])
         rx = vl[:, 0] * cb - vl[:, 1] * sb + p[1] - vg[:, 0]
         ry = vl[:, 0] * sb + vl[:, 1] * cb + p[2] - vg[:, 1]
-        d2 = rx * rx + ry * ry
-        return float(d2.sum() if squared else np.sqrt(d2).sum())
+        return float(np.sqrt(rx * rx + ry * ry).sum())
 
     seeds = [
         (c.transform.theta, float(c.transform.t[0]), float(c.transform.t[1]))

@@ -234,21 +234,11 @@ def simulate_scan(
     )
 
 
-def aggregate_scans(
-    scans,
-    jitter_sigma_xy: float = 0.0,
-    jitter_sigma_theta: float = 0.0,
-    seed: int = 0,
-) -> np.ndarray:
-    """Concatenate scans in the first scan's frame using true poses.
-
-    Optional Gaussian jitter on the relative poses stands in for
-    odometry drift.
-    """
+def aggregate_scans(scans) -> np.ndarray:
+    """Concatenate scans in the first scan's frame using true poses."""
     scans = list(scans)
     if not scans:
         raise ValueError("aggregate_scans needs at least one scan")
-    rng = np.random.default_rng(seed)
     base_inv = scans[0].true_pose.inverse()
     parts = []
     for i, scan in enumerate(scans):
@@ -256,11 +246,6 @@ def aggregate_scans(
             parts.append(np.array(scan.cloud))
             continue
         rel = base_inv.compose(scan.true_pose)
-        if jitter_sigma_xy > 0 or jitter_sigma_theta > 0:
-            rel = RigidTransform2D(
-                rel.theta + rng.normal(0.0, jitter_sigma_theta),
-                rel.t + rng.normal(0.0, jitter_sigma_xy, 2),
-            )
         xy = rel.apply(scan.cloud[:, :2])
         parts.append(np.column_stack([xy, scan.cloud[:, 2]]))
     return np.vstack(parts)

@@ -223,6 +223,17 @@ def test_localize_nan_tolerance_rejected(scene, capsys):
     assert "feature_tolerance must be positive" in capsys.readouterr().err
 
 
+def test_localize_short_map_row_rejected(scene, tmp_path, capsys):
+    base, _ = scene
+    data = json.loads((base / "map.json").read_text())
+    data["vertices"][3] = [3, 1.0]
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps(data))
+    code = main(["localize", "--map", str(short), "--local", str(base / "local.json")])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err.startswith(f"error: {short}: vertices rows")
+
+
 def test_bad_area_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["simulate", "--area", "huge", "--path", "p.csv", "--out", str(tmp_path)])

@@ -315,6 +315,17 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text('{"vertices": [[0, 0.0, 0.0]]}')
     with pytest.raises(ValueError):
         load_graph(path)
+    # a row one entry short, in each table of an otherwise intact file
+    rng = np.random.default_rng(16)
+    save_graph(triangulate(rng.uniform(0, 50, (80, 2))), path)
+    intact = json.loads(path.read_text())
+    for key in ("vertices", "triangles", "descriptors"):
+        data = json.loads(json.dumps(intact))
+        data[key][3] = data[key][3][:-1]
+        short = tmp_path / f"short_{key}.json"
+        short.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"short_{key}.json: {key} rows must be lists"):
+            load_graph(short)
 
 
 def write_graph_file(path, points, triangles):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,15 +23,14 @@ from forestloc.errors import (
 )
 from forestloc.geometry import RigidTransform2D, normalize_angle
 from forestloc.matching import (
+    _MAX_CANDIDATES_PER_STAR,
     MatchParams,
-    _assemble_pairing,
+    _candidate_indices,
     brute_force_match_oracle,
     correspond_vertices,
     dissimilarity,
     estimate_transform,
-    find_candidate_stars,
     localize,
-    orientation_consistency,
     verification_residual,
 )
 
@@ -52,12 +52,11 @@ def star_by_center_ids(graph, vertex_ids):
 
 
 def test_params_validation():
+    assert [f.name for f in fields(MatchParams)] == ["feature_tolerance", "min_matches"]
     with pytest.raises(ValueError):
         MatchParams(feature_tolerance=0.0)
     with pytest.raises(ValueError):
         MatchParams(feature_tolerance=float("nan"))
-    with pytest.raises(ValueError):
-        MatchParams(max_candidates_per_star=0)
     with pytest.raises(ValueError):
         MatchParams(min_matches=0)
 
@@ -102,11 +101,17 @@ def test_dissimilarity_rigid_invariance():
         assert d <= 1e-9 * max(a1[0], l1[0])
 
 
+def candidate_stars(star, graph, params=MatchParams()):
+    """The interior stars of graph that pass the candidate test for star."""
+    idx = _candidate_indices(star.features, graph.star_features, params)
+    return [graph.interior_stars[i] for i in idx]
+
+
 def test_candidates_identity_first():
     g = make_graph(2)
     stars = g.interior_stars
     target = stars[len(stars) // 2]
-    cands = find_candidate_stars(target, stars)
+    cands = candidate_stars(target, g)
     assert cands[0].center == target.center
 
 
@@ -116,7 +121,7 @@ def test_candidates_scaled_star_excluded():
     s = g.interior_stars[0]
     scaled = star_by_center_ids(g2, s.center_vertices)
     assert scaled is not None
-    cands = find_candidate_stars(scaled, g.interior_stars)
+    cands = candidate_stars(scaled, g)
     assert all(c.center != s.center for c in cands)
 
 
@@ -124,19 +129,19 @@ def test_candidates_tolerance_bound():
     """Every candidate is componentwise within the relative tolerance."""
     g = make_graph(4, n=150)
     stars = g.interior_stars
-    params = MatchParams(feature_tolerance=0.05, max_candidates_per_star=32)
+    params = MatchParams(feature_tolerance=0.05)
     for s in stars[:10]:
-        for c in find_candidate_stars(s, stars, params):
+        for c in candidate_stars(s, g, params):
             assert (np.abs(c.features - s.features) <= 0.05 * s.features + 1e-12).all()
 
 
 def test_candidates_capped_and_sorted():
     g = make_graph(5, n=200)
     stars = g.interior_stars
-    params = MatchParams(feature_tolerance=0.8, max_candidates_per_star=4)
+    params = MatchParams(feature_tolerance=0.8)
     s = stars[0]
-    cands = find_candidate_stars(s, stars, params)
-    assert len(cands) <= 4
+    cands = candidate_stars(s, g, params)
+    assert len(cands) == _MAX_CANDIDATES_PER_STAR
     devs = [np.abs((c.features - s.features) / s.features).sum() for c in cands]
     assert devs == sorted(devs)
 
@@ -155,32 +160,10 @@ def test_candidates_perturbed_original_found():
         s2 = star_by_center_ids(noisy, target.center_vertices)
         if s2 is None:
             continue  # noise flipped the triangulation here
-        cands = find_candidate_stars(s2, stars)
+        cands = candidate_stars(s2, g)
         if any(c.center == target.center for c in cands):
             found += 1
     assert found >= 95
-
-
-def test_orientation_sign_quarter_turn():
-    """sign(Pa.b) for a=(1,0), b=(0,1) is +1 with P the quarter turn."""
-    P = np.array([[0.0, -1.0], [1.0, 0.0]])
-    a = np.array([1.0, 0.0])
-    b = np.array([0.0, 1.0])
-    assert np.sign(P @ a @ b) == 1.0
-
-
-def test_orientation_rigid_invariance_and_reflection():
-    rng = np.random.default_rng(7)
-    for _ in range(300):
-        tri1 = rng.uniform(-10, 10, (3, 2))
-        tri2 = rng.uniform(-10, 10, (3, 2))
-        a = orientation_consistency(*tri1, *tri2)
-        T = RigidTransform2D(rng.uniform(-math.pi, math.pi), rng.uniform(-30, 30, 2))
-        a_moved = orientation_consistency(*T.apply(tri1), *tri2)
-        assert math.isclose(a, a_moved, rel_tol=1e-9, abs_tol=1e-9)
-        mirrored = tri2 * [-1.0, 1.0]
-        a_flip = orientation_consistency(*tri1, *mirrored)
-        assert math.isclose(a, -a_flip, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def test_correspond_translation():
@@ -206,30 +189,31 @@ def test_correspond_rotation():
         assert abs(la - lb) <= 1e-9
 
 
-def test_correspond_mirror_swaps():
-    """Reflection makes the side test negative and swaps the second pairing."""
+def test_correspond_mirror_never_rigid():
+    """A star never pairs rigidly with its mirror image, re-triangulated.
+
+    The mirror's triangles are CCW again, so its stars pass the candidate
+    test with equal features; only a reflection could fit them, and the
+    pairing is a rotation of the corner order.  A rigidly moved copy of
+    the same stars fits exactly.
+    """
     g = make_graph(10)
-    s = g.interior_stars[0]
-    mirrored = g.points * [-1.0, 1.0]
-    straight = g.points + [5.0, 5.0]
-    lv = s.center_vertices
-    for j in range(3):
-        same = _assemble_pairing(s, s, g.points, straight, j, j).mapping()
-        swapped = _assemble_pairing(s, s, g.points, mirrored, j, j).mapping()
-        a = orientation_consistency(
-            g.points[lv[j]],
-            g.points[lv[(j + 1) % 3]],
-            g.points[lv[(j + 2) % 3]],
-            mirrored[lv[j]],
-            mirrored[lv[(j + 1) % 3]],
-            mirrored[lv[(j + 2) % 3]],
-        )
-        assert a < 0
-        # anchor corner j keeps its partner, the other two cross over
-        assert same[lv[j]] == lv[j] and swapped[lv[j]] == lv[j]
-        assert same[lv[(j + 1) % 3]] == lv[(j + 1) % 3]
-        assert swapped[lv[(j + 1) % 3]] == lv[(j + 2) % 3]
-        assert swapped[lv[(j + 2) % 3]] == lv[(j + 1) % 3]
+    T = RigidTransform2D(0.7, np.array([5.0, -3.0]))
+    moved = triangulate(T.apply(g.points))
+    mirrored = triangulate(g.points * [-1.0, 1.0])
+    checked = 0
+    for s in g.interior_stars:
+        twin = star_by_center_ids(mirrored, s.center_vertices)
+        same = star_by_center_ids(moved, s.center_vertices)
+        if twin is None or same is None:
+            continue
+        assert np.allclose(twin.features, s.features, rtol=1e-9)
+        corr = correspond_vertices(s, twin, g.points, mirrored.points)
+        assert estimate_transform(corr, g.points, mirrored.points).residual > 0.1
+        corr = correspond_vertices(s, same, g.points, moved.points)
+        assert estimate_transform(corr, g.points, moved.points).residual < 1e-9
+        checked += 1
+    assert checked >= 20
 
 
 def test_estimate_identity():
@@ -259,14 +243,6 @@ def test_estimate_rotation_about_centroid():
     assert est.residual < 1e-6
 
 
-def test_estimate_candidate_angles_count():
-    g = make_graph(13)
-    s = g.interior_stars[0]
-    corr = correspond_vertices(s, s, g.points, g.points + [3.0, 4.0])
-    est = estimate_transform(corr, g.points, g.points + [3.0, 4.0])
-    assert 1 <= len(est.candidate_angles) <= 6
-
-
 def test_verification_residual_matches_definition():
     g = make_graph(14)
     s = g.interior_stars[0]
@@ -275,8 +251,6 @@ def test_verification_residual_matches_definition():
     T = RigidTransform2D(0.0, np.zeros(2))  # leaves a 1 m gap per vertex
     r = verification_residual(T, [corr], g.points, pts2)
     assert math.isclose(r, 6.0, rel_tol=1e-12)
-    r2 = verification_residual(T, [corr], g.points, pts2, squared_residual=True)
-    assert math.isclose(r2, 6.0, rel_tol=1e-12)
 
 
 def make_instance(seed, n=60, extent=70.0, window=35.0, noise=0.0):
@@ -442,35 +416,6 @@ def test_pipeline_matches_oracle():
         checked += 1
 
 
-def test_pipeline_matches_oracle_squared_residual():
-    """The squared-residual path of localize() also agrees with the oracle.
-
-    Landmark noise keeps the optimal residual away from zero, so the
-    comparison checks the least-squares pose rather than an exact fit.
-    """
-    params = MatchParams(squared_residual=True)
-    checked = 0
-    seed = 0
-    while checked < 8:
-        seed += 1
-        try:
-            g_map, g_loc, _ = make_instance(
-                300 + seed, n=45, extent=60.0, window=35.0, noise=0.03
-            )
-        except RecursionError:
-            continue
-        try:
-            res = localize(g_loc, g_map, params)
-            orc = brute_force_match_oracle(g_loc, g_map, params)
-        except NoOverlapError:
-            continue
-        assert abs(res.residual - orc.residual) <= 1e-6
-        got = sorted((c.star_local.center, c.star_global.center) for c in res.correspondences)
-        want = sorted((c.star_local.center, c.star_global.center) for c in orc.correspondences)
-        assert got == want
-        checked += 1
-
-
 def linear_scan_candidates(g_loc, g_map, params):
     """Per local star in order, its candidate map-star centers, by a full scan.
 
@@ -487,7 +432,7 @@ def linear_scan_candidates(g_loc, g_map, params):
         ]
         passing.sort(key=lambda i: (rel[i].sum(), i))
         out.append(
-            [g_map.interior_stars[i].center for i in passing[: params.max_candidates_per_star]]
+            [g_map.interior_stars[i].center for i in passing[:_MAX_CANDIDATES_PER_STAR]]
         )
     return out
 

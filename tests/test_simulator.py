@@ -230,19 +230,6 @@ def test_aggregate_visibility_union():
     assert len(union) > max(len(s.visible_trunk_ids) for s in scans)
 
 
-def test_aggregate_pose_jitter():
-    forest = one_tree(10.0, 10.0, area=(30.0, 30.0))
-    p1 = RigidTransform2D(0.0, np.array([5.0, 10.0]))
-    p2 = RigidTransform2D(0.0, np.array([6.0, 10.0]))
-    s1 = simulate_scan(forest, p1, NOISELESS, seed=0)
-    s2 = simulate_scan(forest, p2, NOISELESS, seed=0)
-    clean = aggregate_scans([s1, s2])
-    jittered = aggregate_scans([s1, s2], jitter_sigma_xy=0.5, jitter_sigma_theta=0.1, seed=3)
-    n1 = len(s1.cloud)
-    np.testing.assert_array_equal(jittered[:n1], clean[:n1])  # first scan anchored
-    assert not np.allclose(jittered[n1:], clean[n1:])
-
-
 def test_to_trunk_map():
     forest = generate_forest(ForestSpec(area=(50.0, 50.0), density=300.0, seed=9))
     tm = forest.to_trunk_map()
