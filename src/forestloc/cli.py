@@ -117,13 +117,13 @@ def _cmd_triangulate(args) -> int:
     return EXIT_OK
 
 
-def _load_local(path_text: str, params: TrunkExtractionParams | None = None):
+def _load_local(path_text: str):
     path = Path(path_text)
     if path.suffix == ".json":
         return load_graph(path)
     if path.suffix == ".csv":
         return triangulate(TrunkMap.load_csv(path))
-    return triangulate(extract_trunk_map(load_xyz(path), params))
+    return triangulate(extract_trunk_map(load_xyz(path)))
 
 
 def _cmd_localize(args) -> int:

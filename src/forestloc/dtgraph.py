@@ -4,9 +4,10 @@ The graph couples the triangulation (vertices, CCW triangles, shared-edge
 adjacency, convex-hull membership) with a per-triangle shape descriptor
 (area, squared perimeter) and the derived "triangle stars" used by the
 matcher: a center triangle together with its three edge-adjacent
-neighbors, summarized as an 8-component feature vector.  A kd-tree over
-the logs of those vectors lets the matcher find similar stars without
-scanning the whole table.
+neighbors, summarized as an 8-component feature vector.  The stars are
+held as one StarTable of aligned arrays; TriangleStar records are made
+from its rows on demand.  A kd-tree over the logs of the feature
+vectors lets the matcher find similar stars without scanning the table.
 
 Descriptors are computed from each triangle's coordinates sorted
 lexicographically, so they come out bitwise identical no matter how the
@@ -23,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
@@ -103,11 +105,24 @@ class TriangleStar:
         object.__setattr__(self, "features", feats)
 
     def vertex_ids(self) -> tuple:
-        """The 6 star vertices: center triangle's 3, then the 3 apexes."""
-        return self.center_vertices + self.apex_vertices
+        """The 6 star vertices in pairing order, as in a StarTable row."""
+        apex = dict(zip(self.opposite_corners, self.apex_vertices))
+        return self.center_vertices + tuple(apex[c] for c in range(3))
 
-    def descriptor(self) -> TriangleDescriptor:
-        return TriangleDescriptor(float(self.features[0]), float(self.features[1]))
+
+class StarTable(NamedTuple):
+    """The interior stars of a graph, one row per star.
+
+    ``vertices`` rows are in pairing order: the center triangle's three
+    CCW corners, then the apexes opposite corners 0, 1 and 2.
+    ``opposite_corners`` rows give the corners in canonical neighbor order,
+    the order of the neighbor columns of ``features``.
+    """
+
+    centers: np.ndarray  # (S,) center triangle ids
+    vertices: np.ndarray  # (S, 6)
+    opposite_corners: np.ndarray  # (S, 3)
+    features: np.ndarray  # (S, 8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,68 +170,62 @@ class DTGraph:
         return TriangleDescriptor(float(self.areas[t]), float(self.sq_perimeters[t]))
 
     @cached_property
-    def interior_stars(self) -> tuple:
-        """Stars whose 6 vertices all avoid the convex hull.
+    def star_table(self) -> StarTable:
+        """The interior stars as aligned arrays, built in one pass.
 
         A triangle yields a star when it has 3 neighbors, none of its own
         or its neighbors' apex vertices lies on the hull, and the 6 star
         vertices are distinct (a degree-3 interior vertex can fold two
         neighbors onto a shared apex, which leaves no 6-vertex pairing).
         """
-        tri = self.triangles
-        nb = self.neighbors
-        if len(tri) == 0:
-            return ()
+        tri, nb = self.triangles, self.neighbors
         on_hull = np.zeros(self.n_vertices, dtype=bool)
         on_hull[list(self.hull_vertices)] = True
-        cand = (nb >= 0).all(axis=1) & ~on_hull[tri].any(axis=1)
-        cand = np.flatnonzero(cand)
-        if len(cand) == 0:
-            return ()
+        cand = np.flatnonzero((nb >= 0).all(axis=1) & ~on_hull[tri].any(axis=1))
         # apex of the neighbor opposite corner k: its vertex sum minus the shared edge
-        apex = (
-            tri[nb[cand]].sum(axis=2)
-            - tri[cand].sum(axis=1, keepdims=True)
-            + tri[cand]
-        )
+        apex = tri[nb[cand]].sum(axis=2) - tri[cand].sum(axis=1, keepdims=True) + tri[cand]
         good = ~on_hull[apex].any(axis=1)
         good &= (apex[:, 0] != apex[:, 1]) & (apex[:, 1] != apex[:, 2])
         good &= apex[:, 0] != apex[:, 2]
-        stars = []
-        for t, apexes in zip(cand[good], apex[good]):
-            verts = tri[t]
-            order = sorted(
-                range(3),
-                key=lambda k: (
-                    self.areas[nb[t, k]],
-                    self.sq_perimeters[nb[t, k]],
-                    int(verts[k]),
-                ),
-            )
-            features = np.empty(8)
-            features[0] = self.areas[t]
-            features[1] = self.sq_perimeters[t]
-            for j, k in enumerate(order):
-                features[2 + 2 * j] = self.areas[nb[t, k]]
-                features[3 + 2 * j] = self.sq_perimeters[nb[t, k]]
-            stars.append(
-                TriangleStar(
-                    center=int(t),
-                    neighbors=tuple(int(nb[t, k]) for k in order),
-                    features=features,
-                    center_vertices=tuple(int(v) for v in verts),
-                    apex_vertices=tuple(int(apexes[k]) for k in order),
-                    opposite_corners=tuple(order),
-                )
-            )
-        return tuple(stars)
+        centers = cand[good]
+        around = nb[centers]
+        order = np.lexsort(
+            (tri[centers], self.sq_perimeters[around], self.areas[around]), axis=1
+        )
+        around = np.take_along_axis(around, order, axis=1)
+        features = np.empty((len(centers), 8))
+        features[:, 0] = self.areas[centers]
+        features[:, 1] = self.sq_perimeters[centers]
+        features[:, 2::2] = self.areas[around]
+        features[:, 3::2] = self.sq_perimeters[around]
+        table = StarTable(centers, np.hstack([tri[centers], apex[good]]), order, features)
+        for arr in table:
+            arr.flags.writeable = False
+        return table
+
+    @property
+    def star_features(self) -> np.ndarray:
+        """(S, 8) feature matrix of star_table, rows aligned with interior_stars."""
+        return self.star_table.features
+
+    def star(self, row: int) -> TriangleStar:
+        """The record of star_table row ``row``."""
+        table = self.star_table
+        center, order = int(table.centers[row]), table.opposite_corners[row]
+        vertices = table.vertices[row].tolist()
+        return TriangleStar(
+            center=center,
+            neighbors=tuple(self.neighbors[center, order].tolist()),
+            features=table.features[row],
+            center_vertices=tuple(vertices[:3]),
+            apex_vertices=tuple(vertices[3 + k] for k in order.tolist()),
+            opposite_corners=tuple(order.tolist()),
+        )
 
     @cached_property
-    def star_features(self) -> np.ndarray:
-        """(S, 8) feature matrix aligned with interior_stars."""
-        if not self.interior_stars:
-            return np.zeros((0, 8))
-        return np.vstack([s.features for s in self.interior_stars])
+    def interior_stars(self) -> tuple:
+        """One TriangleStar record per star_table row."""
+        return tuple(self.star(row) for row in range(len(self.star_table.centers)))
 
     @cached_property
     def star_index(self) -> cKDTree:
@@ -307,7 +316,8 @@ def load_graph(path) -> DTGraph:
     invariants as a graph built in memory.  The stored triangles must be
     the rebuild's as a set of vertex triples (row order and the rotation
     of a row do not matter), and each stored descriptor must agree with
-    the rebuilt one to 1e-6 relative; otherwise ValueError.
+    the rebuilt one to 1e-6 relative; otherwise ValueError.  Row ids of
+    every table must run 0, 1, 2, ... in file order.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -318,14 +328,10 @@ def load_graph(path) -> DTGraph:
             isinstance(row, list) and len(row) == width for row in data[key]
         ):
             raise ValueError(f"{path}: {key} rows must be lists of {width} entries")
-    verts = data["vertices"]
-    if [row[0] for row in verts] != list(range(len(verts))):
-        raise ValueError(f"{path}: vertex ids not contiguous from 0")
-    pts = as_points2([[row[1], row[2]] for row in verts])
-    tris = data["triangles"]
-    if [row[0] for row in tris] != list(range(len(tris))):
-        raise ValueError(f"{path}: triangle ids not contiguous from 0")
-    simplices = np.array([row[1:] for row in tris], dtype=np.intp).reshape(-1, 3)
+        if [row[0] for row in data[key]] != list(range(len(data[key]))):
+            raise ValueError(f"{path}: {key} ids not contiguous from 0")
+    pts = as_points2([row[1:] for row in data["vertices"]])
+    simplices = np.array([row[1:] for row in data["triangles"]], dtype=np.intp).reshape(-1, 3)
     if len(simplices) == 0 or simplices.min() < 0 or simplices.max() >= len(pts):
         raise ValueError(f"{path}: triangle vertex id out of range")
     stored = np.array([row[1:] for row in data["descriptors"]], dtype=float).reshape(
@@ -343,6 +349,7 @@ def load_graph(path) -> DTGraph:
         raise ValueError(f"{path}: triangles are not the Delaunay triangulation of the vertices")
     stored = stored[stored_order]
     fresh = np.column_stack([graph.areas, graph.sq_perimeters])[built_order]
-    if np.any(np.abs(stored - fresh) > 1e-6 * np.maximum(np.abs(stored), 1.0)):
+    # written so that a NaN or infinite stored value fails it
+    if not np.all(np.abs(stored - fresh) <= 1e-6 * np.maximum(np.abs(fresh), 1.0)):
         raise ValueError(f"{path}: stored descriptors disagree with geometry")
     return graph

@@ -6,6 +6,8 @@ exact relative-tolerance test decides), pair up the 6 star vertices
 (the most-similar center edge fixes a rotation of the CCW corner order,
 and the neighbor apexes follow the shared edges), and fit a rigid
 transform per candidate from the centered-vector rotation candidates.
+Pairing and fitting run on stacked arrays, a chunk of local stars'
+candidates at a time; the public one-pair functions call the same kernel.
 Verification then scores every surviving candidate transform (plus
 their componentwise median) on the summed pair residual of all matched
 vertices and polishes the best one by iteratively reweighted least
@@ -31,7 +33,7 @@ from .errors import (
     NoOverlapError,
     SizeCapError,
 )
-from .geometry import RigidTransform2D, normalize_angle
+from .geometry import TWO_PI, RigidTransform2D, normalize_angle
 
 _IRLS_RTOL = 1e-12  # stop once a step lowers the residual by less than this fraction
 _IRLS_MAX_ITER = 2000  # safety bound only; convergence ends the loop in practice
@@ -39,11 +41,14 @@ _IRLS_MIN_DIST = 1e-12  # meters: floor under 1/d so exact pairs keep a finite w
 # Star-index search pad: relative on the tolerance and absolute on the
 # log-space radius, far above the rounding of either test.
 _INDEX_PAD = 1e-9
-_INDEX_CHUNK = 64  # local stars per index query: bounds the live hit lists
+_INDEX_CHUNK = 64  # local stars searched and fitted together
 _MAX_CANDIDATES_PER_STAR = 8  # cap per local star, by ascending deviation
 # Center-edge pairings within this (m) of the best length difference count
 # as tied and are all evaluated.
 _EDGE_TIE_TOLERANCE = 1e-6
+# Row o gathers a star's 6 vertex columns in rotation o of the corner order:
+# corner c goes to (c + o) % 3, and the apex opposite it with it.
+_ROTATIONS = np.array([[0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3], [2, 0, 1, 5, 3, 4]])
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,8 @@ class Correspondence:
 
     local_vertices[i] pairs with global_vertices[i]; the first three are
     the center triangles' corners, the last three the neighbor apexes.
-    transform and residual are filled by estimate_transform.
+    transform and residual are filled by estimate_transform, and in the
+    correspondences localize accepts.
     """
 
     star_local: TriangleStar
@@ -118,15 +124,13 @@ def dissimilarity(d1: TriangleDescriptor, d2: TriangleDescriptor) -> float:
 
 
 def _candidate_indices(
-    features: np.ndarray, global_features: np.ndarray, params: MatchParams, rows=None
+    features: np.ndarray, global_features: np.ndarray, params: MatchParams, rows
 ):
-    """Indices of tolerance-passing global stars, by ascending total deviation.
+    """The given rows of global_features that pass, by ascending total deviation.
 
-    Only the given rows of global_features are tested; all rows by default.
     Ties in deviation go to the lower index.
     """
-    if rows is None:
-        rows = np.arange(len(global_features))
+    rows = np.asarray(rows, dtype=np.intp)
     if len(rows) == 0:
         return []
     rel = np.abs(global_features[rows] - features) / features
@@ -140,7 +144,7 @@ def _candidate_indices(
 
 
 def _index_hits(graph_map: DTGraph, local_features: np.ndarray, tolerance: float):
-    """Per local star in turn, the map-star rows the star index cannot rule out.
+    """Per local star, the map-star rows the star index cannot rule out.
 
     For tol < 1, |g - f| <= tol * f puts every log feature of g within
     -log1p(-tol) of f's (the wider side of the band).  The tolerance and
@@ -150,43 +154,79 @@ def _index_hits(graph_map: DTGraph, local_features: np.ndarray, tolerance: float
     """
     padded = tolerance * (1.0 + _INDEX_PAD)
     if not padded < 1.0:
-        every = np.arange(len(graph_map.star_features))
-        for _ in range(len(local_features)):
-            yield every
-        return
+        return [np.arange(len(graph_map.star_features))] * len(local_features)
     radius = _INDEX_PAD - math.log1p(-padded)
     logs = log_star_features(local_features)
-    for start in range(0, len(logs), _INDEX_CHUNK):
-        chunk = logs[start : start + _INDEX_CHUNK]
-        for hits in graph_map.star_index.query_ball_point(chunk, radius, p=np.inf):
-            yield np.array(hits, dtype=np.intp)
+    return graph_map.star_index.query_ball_point(logs, radius, p=np.inf)
 
 
-def _assemble_pairing(
-    star_local: TriangleStar, star_global: TriangleStar, offset: int
-) -> Correspondence:
-    """Build the full 6-vertex pairing from one rotation of the corner order.
+def _fit(vl: np.ndarray, vg: np.ndarray):
+    """Rigid fits of N paired vertex rows: (thetas, translations, residuals).
 
-    Local center corner c pairs with global corner (c + offset) % 3.  Both
-    center triangles are CCW, so the rotations are the only pairings
-    that are not reflections.  The neighbor apexes follow the paired
-    corners opposite their shared edges.
+    vl[n, i] pairs with vg[n, i].  Per row, candidate rotations are the
+    angles turning each centered local vertex onto its centered partner;
+    the one with the least summed rotation-fit error wins, ties to the
+    lower angle.  Vertices whose centered vector on either side is shorter
+    than 1e-9 m contribute no candidate, and a row left with none gets
+    residual inf.  The translation maps the rotated local centroid onto
+    the global one.  Thetas are returned as found, not normalized.
     """
-    lv = star_local.center_vertices
-    gv = star_global.center_vertices
-    sigma = [(c + offset) % 3 for c in range(3)]
-    apex_local = dict(zip(star_local.opposite_corners, star_local.apex_vertices))
-    apex_global = dict(zip(star_global.opposite_corners, star_global.apex_vertices))
-    local_ids = tuple(lv) + tuple(apex_local[c] for c in range(3))
-    global_ids = tuple(gv[sigma[c]] for c in range(3)) + tuple(
-        apex_global[sigma[c]] for c in range(3)
+    cl, cg = vl.mean(axis=1), vg.mean(axis=1)
+    u, w = vl - cl[:, None], vg - cg[:, None]
+    valid = (np.linalg.norm(u, axis=2) >= 1e-9) & (np.linalg.norm(w, axis=2) >= 1e-9)
+    betas = np.arctan2(u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0], (u * w).sum(axis=2))
+    # fit[n, i]: row n's centered pairs, the local side turned by betas[n, i]
+    fit = _pair_distances(betas[..., None], 0.0, 0.0, u[:, None], w[:, None]).sum(axis=2)
+    fit[~valid] = np.inf
+    order = np.lexsort((betas, fit), axis=1)
+    theta = np.take_along_axis(betas, order[:, :1], axis=1)[:, 0]
+    c, s = np.cos(theta), np.sin(theta)
+    t = cg - np.column_stack([c * cl[:, 0] - s * cl[:, 1], s * cl[:, 0] + c * cl[:, 1]])
+    # the residual is taken at the normalized angle a RigidTransform2D holds
+    turn = np.mod(theta, TWO_PI)
+    turn = np.where(turn > math.pi, turn - TWO_PI, turn)
+    residual = _pair_distances(turn[:, None], t[:, :1], t[:, 1:], vl, vg).sum(axis=1)
+    residual[~valid.any(axis=1)] = np.inf
+    return theta, t, residual
+
+
+def _pair_and_fit(local_ids, global_ids, points_local, points_global):
+    """Pair and fit K candidate star pairs, given as (K, 6) vertex id rows.
+
+    Rows are in pairing order (three CCW center corners, then the apexes
+    opposite corners 0, 1 and 2).  Local corner j pairs with global corner
+    k for the center-edge pair (j, k) of most similar length, which fixes
+    the rotation (k - j) % 3 of the corner order; the apexes follow their
+    corners.  Both center triangles are CCW, so rotations are the only
+    pairings that are not reflections.  Center-edge pairs tied within
+    _EDGE_TIE_TOLERANCE of the best length difference add their rotations.
+    One rotation is taken as is; of several, the lowest fit residual wins,
+    and a tie within 1e-6 makes the pair ambiguous.
+
+    Returns (paired global ids (K, 6), thetas, translations, residuals,
+    ambiguous flags); a residual of inf marks a pair with no fit.
+    """
+    pl = points_local[local_ids[:, :3]]
+    pg = points_global[global_ids[:, :3]]
+    # the edge opposite corner j runs between the other two corners
+    le = np.linalg.norm(pl[:, [1, 2, 0]] - pl[:, [2, 0, 1]], axis=2)
+    ge = np.linalg.norm(pg[:, [1, 2, 0]] - pg[:, [2, 0, 1]], axis=2)
+    diff = np.abs(le[:, :, None] - ge[:, None, :])
+    tied = diff <= diff.min(axis=(1, 2), keepdims=True) + _EDGE_TIE_TOLERANCE
+    # rotation o holds the center-edge pairs (j, (j + o) % 3)
+    rotations = tied[:, np.arange(3), _ROTATIONS[:, :3]].any(axis=2)
+    paired = global_ids[:, _ROTATIONS]
+    k = len(local_ids)
+    theta, t, residual = _fit(
+        np.repeat(points_local[local_ids], 3, axis=0),
+        points_global[paired.reshape(-1, 6)],
     )
-    return Correspondence(
-        star_local=star_local,
-        star_global=star_global,
-        local_vertices=local_ids,
-        global_vertices=global_ids,
-    )
+    residual = np.where(rotations, residual.reshape(k, 3), np.inf)
+    ranked = np.sort(residual, axis=1)
+    ambiguous = (rotations.sum(axis=1) > 1) & (ranked[:, 1] - ranked[:, 0] <= 1e-6)
+    pick = np.argmin(residual, axis=1)
+    rows = 3 * np.arange(k) + pick
+    return paired[np.arange(k), pick], theta[rows], t[rows], ranked[:, 0], ambiguous
 
 
 def correspond_vertices(
@@ -195,43 +235,21 @@ def correspond_vertices(
     points_local: np.ndarray,
     points_global: np.ndarray,
 ) -> Correspondence:
-    """Pair the 6 star vertices; the transform fields stay unfilled.
+    """Pair the 6 star vertices by localize's rule; the transform fields stay unfilled.
 
-    Local corner j pairs with global corner k for the center-edge pair
-    (j, k) of most similar length, which fixes the rotation (k - j) % 3 of
-    the CCW corner order.  Center-edge pairs tied within
-    _EDGE_TIE_TOLERANCE of that length difference add their rotations;
-    when there are several, each is scored by post-transform residual,
-    and a residual tie within 1e-6 raises "ambiguous correspondence".
+    See _pair_and_fit for the rule.  Raises AmbiguousCorrespondenceError
+    when tied rotations fit equally well, and DegenerateStarError when no
+    rotation can be fitted.
     """
-    lv = star_local.center_vertices
-    gv = star_global.center_vertices
-    pl = points_local[list(lv)]
-    pg = points_global[list(gv)]
-    # edge opposite corner j runs between the other two corners
-    le = np.array([np.linalg.norm(pl[(j + 1) % 3] - pl[(j + 2) % 3]) for j in range(3)])
-    ge = np.array([np.linalg.norm(pg[(k + 1) % 3] - pg[(k + 2) % 3]) for k in range(3)])
-    diff = np.abs(le[:, None] - ge[None, :])
-    best = diff.min()
-    offsets = dict.fromkeys(
-        (k - j) % 3 for j in range(3) for k in range(3) if diff[j, k] <= best + _EDGE_TIE_TOLERANCE
+    local_ids = star_local.vertex_ids()
+    paired, _, _, residual, ambiguous = _pair_and_fit(
+        np.array([local_ids]), np.array([star_global.vertex_ids()]), points_local, points_global
     )
-    candidates = [_assemble_pairing(star_local, star_global, o) for o in offsets]
-    if len(candidates) == 1:
-        return candidates[0]
-    scored = []
-    for corr in candidates:
-        try:
-            est = estimate_transform(corr, points_local, points_global)
-        except DegenerateStarError:
-            continue
-        scored.append((est.residual, corr))
-    if not scored:
-        raise DegenerateStarError("degenerate star geometry")
-    scored.sort(key=lambda item: item[0])
-    if len(scored) > 1 and scored[1][0] - scored[0][0] <= 1e-6:
+    if ambiguous[0]:
         raise AmbiguousCorrespondenceError("ambiguous correspondence")
-    return scored[0][1]
+    if not residual[0] < np.inf:
+        raise DegenerateStarError("degenerate star geometry")
+    return Correspondence(star_local, star_global, local_ids, tuple(paired[0].tolist()))
 
 
 def estimate_transform(
@@ -239,41 +257,20 @@ def estimate_transform(
     points_local: np.ndarray,
     points_global: np.ndarray,
 ) -> Correspondence:
-    """Fit the rigid transform implied by a 6-vertex pairing.
+    """Fit the rigid transform implied by a 6-vertex pairing (see _fit).
 
-    Candidate rotations are the angles turning each centered local vertex
-    onto its centered partner; the one with the least summed rotation-fit
-    error wins.  Vertices whose centered vector on either side is shorter
-    than 1e-9 m contribute no candidate.  The translation then maps the
-    rotated local centroid onto the global one.  Returns a copy of corr
-    with transform and residual filled.
+    Returns a copy of corr with transform and residual filled, or raises
+    DegenerateStarError when the pairing gives no rotation candidate.
     """
-    vl = points_local[list(corr.local_vertices)]
-    vg = points_global[list(corr.global_vertices)]
-    cl = vl.mean(axis=0)
-    cg = vg.mean(axis=0)
-    u = vl - cl
-    w = vg - cg
-    nu = np.linalg.norm(u, axis=1)
-    nw = np.linalg.norm(w, axis=1)
-    valid = (nu >= 1e-9) & (nw >= 1e-9)
-    if not valid.any():
-        raise DegenerateStarError("degenerate star geometry")
-    uu, ww = u[valid], w[valid]
-    betas = np.arctan2(
-        uu[:, 0] * ww[:, 1] - uu[:, 1] * ww[:, 0], (uu * ww).sum(axis=1)
+    theta, t, residual = _fit(
+        points_local[list(corr.local_vertices)][None],
+        points_global[list(corr.global_vertices)][None],
     )
-    cos_b, sin_b = np.cos(betas), np.sin(betas)
-    rx = u[:, 0][None, :] * cos_b[:, None] - u[:, 1][None, :] * sin_b[:, None]
-    ry = u[:, 0][None, :] * sin_b[:, None] + u[:, 1][None, :] * cos_b[:, None]
-    fit = np.hypot(rx - w[:, 0][None, :], ry - w[:, 1][None, :]).sum(axis=1)
-    order = np.lexsort((betas, fit))
-    theta = float(betas[order[0]])
-    c, s = math.cos(theta), math.sin(theta)
-    t = cg - np.array([c * cl[0] - s * cl[1], s * cl[0] + c * cl[1]])
-    transform = RigidTransform2D(theta, t)
-    residual = _residual((transform.theta, *transform.t), vl, vg)
-    return replace(corr, transform=transform, residual=residual)
+    if not residual[0] < np.inf:
+        raise DegenerateStarError("degenerate star geometry")
+    return replace(
+        corr, transform=RigidTransform2D(float(theta[0]), t[0]), residual=float(residual[0])
+    )
 
 
 def verification_residual(
@@ -303,13 +300,10 @@ def _mad_filter(correspondences):
     if len(correspondences) < 4:
         return list(correspondences)
     ref = min(correspondences, key=lambda c: c.residual).transform.theta
-    delta = np.array(
-        [normalize_angle(c.transform.theta - ref) for c in correspondences]
-    )
-    tx = np.array([c.transform.t[0] for c in correspondences])
-    ty = np.array([c.transform.t[1] for c in correspondences])
+    delta = np.array([normalize_angle(c.transform.theta - ref) for c in correspondences])
+    ts = np.array([c.transform.t for c in correspondences])
     keep = np.ones(len(correspondences), dtype=bool)
-    for comp in (delta, tx, ty):
+    for comp in (delta, ts[:, 0], ts[:, 1]):
         med = np.median(comp)
         mad = np.median(np.abs(comp - med))
         keep &= np.abs(comp - med) <= 3.0 * mad + 1e-6
@@ -319,9 +313,10 @@ def _mad_filter(correspondences):
 
 
 def _pair_distances(theta, x, y, vl, vg) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    rx = vl[:, 0] * c - vl[:, 1] * s + x - vg[:, 0]
-    ry = vl[:, 0] * s + vl[:, 1] * c + y - vg[:, 1]
+    """Distances |R(theta) vl + (x, y) - vg|; array poses broadcast over the pairs."""
+    c, s = np.cos(theta), np.sin(theta)
+    rx = vl[..., 0] * c - vl[..., 1] * s + x - vg[..., 0]
+    ry = vl[..., 0] * s + vl[..., 1] * c + y - vg[..., 1]
     return np.hypot(rx, ry)
 
 
@@ -374,28 +369,46 @@ def _verify(vl, vg, seeds):
 
 
 def _accepted_correspondences(graph_local, graph_map, params):
-    """Per local star, the lowest-residual tolerance-passing candidate."""
-    global_stars = graph_map.interior_stars
-    feats = graph_map.star_features
-    hits = _index_hits(graph_map, graph_local.star_features, params.feature_tolerance)
+    """Per local star, its candidate fit of lowest (residual, map center).
+
+    The candidates of each chunk of local stars are paired and fitted in
+    one _pair_and_fit call; ambiguous and unfittable ones are skipped.
+    Returns the accepted Correspondences, in local star order, and the
+    number of candidates tried.
+    """
+    local, table = graph_local.star_table, graph_map.star_table
+    tol = params.feature_tolerance
     accepted = []
     candidate_count = 0
-    for ls, rows in zip(graph_local.interior_stars, hits):
-        idx = _candidate_indices(ls.features, feats, params, rows)
-        candidate_count += len(idx)
-        best = None
-        for i in idx:
-            gs = global_stars[i]
-            try:
-                corr = correspond_vertices(ls, gs, graph_local.points, graph_map.points)
-                est = estimate_transform(corr, graph_local.points, graph_map.points)
-            except (AmbiguousCorrespondenceError, DegenerateStarError):
-                continue
-            key = (est.residual, gs.center)
-            if best is None or key < best[0]:
-                best = (key, est)
-        if best is not None:
-            accepted.append(best[1])
+    # chunks of local stars bound the live index hit lists and fit arrays
+    for start in range(0, len(local.features), _INDEX_CHUNK):
+        hits = _index_hits(graph_map, local.features[start : start + _INDEX_CHUNK], tol)
+        pairs = [
+            (row, col)
+            for row, rows in enumerate(hits, start)
+            for col in _candidate_indices(local.features[row], table.features, params, rows)
+        ]
+        candidate_count += len(pairs)
+        if not pairs:
+            continue
+        lrow, mrow = np.array(pairs, dtype=np.intp).T
+        paired, theta, t, residual, ambiguous = _pair_and_fit(
+            local.vertices[lrow], table.vertices[mrow], graph_local.points, graph_map.points
+        )
+        ok = np.flatnonzero(~ambiguous & (residual < np.inf))
+        ok = ok[np.lexsort((table.centers[mrow[ok]], residual[ok], lrow[ok]))]
+        _, first = np.unique(lrow[ok], return_index=True)
+        for i in ok[first]:
+            accepted.append(
+                Correspondence(
+                    star_local=graph_local.star(lrow[i]),
+                    star_global=graph_map.star(mrow[i]),
+                    local_vertices=tuple(local.vertices[lrow[i]].tolist()),
+                    global_vertices=tuple(paired[i].tolist()),
+                    transform=RigidTransform2D(float(theta[i]), t[i]),
+                    residual=float(residual[i]),
+                )
+            )
     return accepted, candidate_count
 
 
@@ -423,22 +436,12 @@ def localize(
     t_match = time.perf_counter()
     kept = _mad_filter(accepted)
     thetas = np.array([c.transform.theta for c in kept])
-    txs = np.array([c.transform.t[0] for c in kept])
-    tys = np.array([c.transform.t[1] for c in kept])
+    ts = np.array([c.transform.t for c in kept])
+    seeds = [(float(np.mod(th, TWO_PI)), float(x), float(y)) for th, (x, y) in zip(thetas, ts)]
+    deltas = np.array([normalize_angle(th - thetas[0]) for th in thetas])
+    tx, ty = np.median(ts, axis=0)
+    seeds.append((float(np.mod(thetas[0] + np.median(deltas), TWO_PI)), float(tx), float(ty)))
     vl, vg = _stack_pairs(kept, graph_local.points, graph_map.points)
-    seeds = [
-        (float(np.mod(c.transform.theta, 2.0 * math.pi)), float(c.transform.t[0]), float(c.transform.t[1]))
-        for c in kept
-    ]
-    ref = thetas[0]
-    deltas = np.array([normalize_angle(t - ref) for t in thetas])
-    seeds.append(
-        (
-            float(np.mod(ref + np.median(deltas), 2.0 * math.pi)),
-            float(np.median(txs)),
-            float(np.median(tys)),
-        )
-    )
     beta, x, y, residual = _verify(vl, vg, seeds)
     t_verify = time.perf_counter()
     pose = RigidTransform2D(beta, np.array([x, y]))
@@ -478,21 +481,10 @@ def brute_force_match_oracle(
             rel = np.abs(gs.features - ls.features) / ls.features
             if (rel > params.feature_tolerance).any():
                 continue
-            apex_local = dict(zip(ls.opposite_corners, ls.apex_vertices))
-            apex_global = dict(zip(gs.opposite_corners, gs.apex_vertices))
+            ids = gs.vertex_ids()
             for pi, perm in enumerate(permutations(range(3))):
-                local_ids = tuple(ls.center_vertices) + tuple(
-                    apex_local[c] for c in range(3)
-                )
-                global_ids = tuple(gs.center_vertices[perm[c]] for c in range(3)) + tuple(
-                    apex_global[perm[c]] for c in range(3)
-                )
-                corr = Correspondence(
-                    star_local=ls,
-                    star_global=gs,
-                    local_vertices=local_ids,
-                    global_vertices=global_ids,
-                )
+                global_ids = tuple(ids[p] for p in perm) + tuple(ids[3 + p] for p in perm)
+                corr = Correspondence(ls, gs, ls.vertex_ids(), global_ids)
                 try:
                     est = estimate_transform(corr, graph_local.points, graph_map.points)
                 except DegenerateStarError:

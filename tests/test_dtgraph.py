@@ -326,6 +326,22 @@ def test_load_rejects_malformed(tmp_path):
         short.write_text(json.dumps(data))
         with pytest.raises(ValueError, match=f"short_{key}.json: {key} rows must be lists"):
             load_graph(short)
+    # descriptor rows that all claim id 7
+    data = json.loads(json.dumps(intact))
+    for row in data["descriptors"]:
+        row[0] = 7
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="descriptors ids not contiguous"):
+        load_graph(path)
+    # descriptors that are not finite, all of them or one
+    for value in ("NaN", "Infinity", "-Infinity"):
+        for rows in (slice(None), slice(5, 6)):
+            data = json.loads(json.dumps(intact))
+            for row in data["descriptors"][rows]:
+                row[1] = row[2] = value
+            path.write_text(json.dumps(data).replace(f'"{value}"', value))
+            with pytest.raises(ValueError, match="stored descriptors disagree"):
+                load_graph(path)
 
 
 def write_graph_file(path, points, triangles):

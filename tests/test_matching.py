@@ -15,6 +15,7 @@ from forestloc.dtgraph import (
     triangulate,
 )
 from forestloc.errors import (
+    AmbiguousCorrespondenceError,
     DegeneratePointSetError,
     ForestLocError,
     InsufficientMatchesError,
@@ -103,7 +104,8 @@ def test_dissimilarity_rigid_invariance():
 
 def candidate_stars(star, graph, params=MatchParams()):
     """The interior stars of graph that pass the candidate test for star."""
-    idx = _candidate_indices(star.features, graph.star_features, params)
+    every = np.arange(len(graph.star_features))
+    idx = _candidate_indices(star.features, graph.star_features, params, every)
     return [graph.interior_stars[i] for i in idx]
 
 
@@ -243,6 +245,45 @@ def test_estimate_rotation_about_centroid():
     assert est.residual < 1e-6
 
 
+def triangular_lattice(n=12, spacing=4.0):
+    """An n x n triangular lattice: every center edge ties with every other."""
+    return spacing * np.array(
+        [[i + 0.5 * (j % 2), j * math.sqrt(3.0) / 2.0] for i in range(n) for j in range(n)]
+    )
+
+
+def test_lattice_rotations_tie():
+    """Equilateral stars tie on every rotation and fail closed.
+
+    Paired with itself, a star whose apexes are as symmetric as its center
+    has several rotations with equal residuals: ambiguous.  A window of the
+    lattice finds candidates, but every one of them is ambiguous, so no
+    star matches.
+    """
+    pts = triangular_lattice()
+    g = triangulate(pts)
+    assert len(g.interior_stars) == 206
+    # the lattice re-indexed: its vertex v is the original vertex perm[v]
+    perm = np.random.default_rng(0).permutation(len(pts))
+    g2 = triangulate(pts[perm])
+    twins = {frozenset(perm[list(s.center_vertices)]): s for s in g2.interior_stars}
+    ambiguous = 0
+    for s in g.interior_stars:
+        try:
+            correspond_vertices(s, s, g.points, g.points)
+        except AmbiguousCorrespondenceError:
+            ambiguous += 1
+            continue
+        # of the tied rotations, the one that fits wins, whichever it is
+        corr = correspond_vertices(s, twins[frozenset(s.center_vertices)], g.points, g2.points)
+        assert perm[list(corr.global_vertices)].tolist() == list(corr.local_vertices)
+    assert ambiguous == 194
+    window = pts[np.hypot(*(pts - pts.mean(axis=0)).T) <= 12.0]
+    with pytest.raises(InsufficientMatchesError) as ei:
+        localize(triangulate(window), g)
+    assert ei.value.match_count == 0
+
+
 def test_verification_residual_matches_definition():
     g = make_graph(14)
     s = g.interior_stars[0]
@@ -323,6 +364,25 @@ def test_localize_argmin_contract():
             corr.transform, res.correspondences, g_loc.points, g_map.points
         )
         assert res.residual <= alt + 1e-9
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.03])
+def test_accepted_fits_match_single_pair_path(noise):
+    """localize's batched fits equal the public one-pair calls, bit for bit."""
+    checked = 0
+    for seed in (40, 41, 42, 43):
+        g_map, g_loc, _ = make_instance(seed, n=120, extent=90.0, window=50.0, noise=noise)
+        for corr in localize(g_loc, g_map).correspondences:
+            pts = (g_loc.points, g_map.points)
+            one = correspond_vertices(corr.star_local, corr.star_global, *pts)
+            one = estimate_transform(one, *pts)
+            assert one.local_vertices == corr.local_vertices
+            assert one.global_vertices == corr.global_vertices
+            assert one.transform.theta == corr.transform.theta
+            np.testing.assert_array_equal(one.transform.t, corr.transform.t)
+            assert one.residual == corr.residual
+            checked += 1
+    assert checked >= 40
 
 
 def test_localize_edge_lengths_preserved():
@@ -440,22 +500,26 @@ def linear_scan_candidates(g_loc, g_map, params):
 def localize_recording_candidates(monkeypatch, g_loc, g_map, params):
     """localize's outcome plus, per local star, the candidate centers it tried.
 
-    The outcome is the result, or the type of the ForestLocError raised.
+    The candidate step runs once per local star, in star order, and every
+    candidate it returns is paired and fitted.  The outcome is the result,
+    or the type of the ForestLocError raised.
     """
-    tried = {ls.center: [] for ls in g_loc.interior_stars}
-    real = forestloc.matching.correspond_vertices
+    tried = []
+    real = forestloc.matching._candidate_indices
 
-    def spy(star_local, star_global, *args, **kwargs):
-        tried[star_local.center].append(star_global.center)
-        return real(star_local, star_global, *args, **kwargs)
+    def spy(*args, **kwargs):
+        rows = real(*args, **kwargs)
+        tried.append([g_map.interior_stars[i].center for i in rows])
+        return rows
 
     with monkeypatch.context() as patch:
-        patch.setattr(forestloc.matching, "correspond_vertices", spy)
+        patch.setattr(forestloc.matching, "_candidate_indices", spy)
         try:
             outcome = localize(g_loc, g_map, params)
         except ForestLocError as exc:
             outcome = type(exc)
-    return outcome, [tried[ls.center] for ls in g_loc.interior_stars]
+    assert len(tried) == len(g_loc.interior_stars)
+    return outcome, tried
 
 
 @pytest.mark.parametrize("tolerance", [0.05, 0.8, 1.0, 1.5])
