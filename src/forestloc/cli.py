@@ -15,7 +15,7 @@ from .errors import ForestLocError, InsufficientMatchesError, NoOverlapError
 from .geometry import RigidTransform2D, load_xyz, save_xyz
 from .matching import MatchParams, localize
 from .pipeline import BenchmarkConfig, _simulate_site, run_benchmark
-from .simulator import ForestSpec, ScannerSpec, aggregate_scans, generate_forest
+from .simulator import ForestSpec, _check_noise, aggregate_scans, generate_forest
 from .trunks import TrunkExtractionParams, TrunkMap, extract_trunk_map
 
 EXIT_OK = 0
@@ -175,14 +175,18 @@ def _read_poses(path):
 
 
 def _cmd_simulate(args) -> int:
+    # check every argument and build the stand before writing any file
+    if args.frames_per_site < 1:
+        raise ValueError("--frames-per-site must be at least 1")
+    if not math.isfinite(args.spacing):
+        raise ValueError("--spacing must be finite")
+    _check_noise(args.noise)
+    spec = ForestSpec(area=args.area, density=args.density, seed=args.seed)
+    poses = _read_poses(args.path)
+    forest = generate_forest(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    forest = generate_forest(
-        ForestSpec(area=args.area, density=args.density, seed=args.seed)
-    )
     forest.to_trunk_map().save_csv(out / "trunks.csv")
-    scanner = ScannerSpec(range_noise_sigma=args.noise)
-    poses = _read_poses(args.path)
     with open(out / "poses.csv", "w", encoding="utf-8") as fh:
         fh.write("site_id,x,y,theta_deg\n")
         for site_id, pose in enumerate(poses):
@@ -191,7 +195,7 @@ def _cmd_simulate(args) -> int:
                 pose,
                 args.frames_per_site,
                 args.spacing,
-                scanner,
+                args.noise,
                 seed=args.seed + 1000 * site_id,
             )
             cloud = aggregate_scans(scans)
@@ -214,7 +218,7 @@ def _cmd_benchmark(args) -> int:
         seed=args.seed,
         area=args.area,
         density=args.density,
-        scanner=ScannerSpec(range_noise_sigma=args.noise),
+        noise=args.noise,
     )
     rows, _ = run_benchmark(config, out_dir=args.out)
     if args.json:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +20,8 @@ from .errors import ForestLocError
 from .geometry import RigidTransform2D, normalize_angle
 from .matching import LocalizationResult, MatchParams, localize
 from .simulator import (
-    Forest,
     ForestSpec,
-    ScannerSpec,
+    _check_noise,
     aggregate_scans,
     generate_forest,
     simulate_scan,
@@ -74,6 +73,15 @@ def run_pipeline(
     )
 
 
+# The benchmark's fixed setup: extraction settings, site placement, and
+# the success bounds a pose must meet.
+BENCHMARK_EXTRACTION = TrunkExtractionParams(probe_tolerance=0.25)
+SITE_MARGIN = 35.0  # keep sites this far from the stand edge, meters
+FRAME_SPACING = 1.0  # meters between consecutive scan poses
+SUCCESS_TRANSLATION = 0.5  # meters
+SUCCESS_ROTATION_DEG = 2.23
+
+
 @dataclass(frozen=True)
 class BenchmarkConfig:
     frames_list: tuple = (1, 3, 5, 10)
@@ -81,15 +89,7 @@ class BenchmarkConfig:
     seed: int = 0
     area: tuple = (250.0, 250.0)
     density: float = 350.0
-    scanner: ScannerSpec = field(default_factory=ScannerSpec)
-    extraction: TrunkExtractionParams = field(
-        default_factory=lambda: TrunkExtractionParams(probe_tolerance=0.25)
-    )
-    match: MatchParams = field(default_factory=MatchParams)
-    margin: float = 35.0  # keep sites this far from the stand edge
-    frame_spacing: float = 1.0  # meters between consecutive scan poses
-    success_translation: float = 0.5  # meters
-    success_rotation_deg: float = 2.23
+    noise: float = 0.03  # range noise sigma, meters
 
     def __post_init__(self):
         frames = tuple(int(f) for f in self.frames_list)
@@ -101,6 +101,7 @@ class BenchmarkConfig:
             raise ValueError("frames_list must be ascending")
         if self.sites < 1:
             raise ValueError("sites must be positive")
+        _check_noise(self.noise)
         object.__setattr__(self, "frames_list", frames)
 
 
@@ -131,7 +132,7 @@ class BenchmarkDetail:
     t_match: float
 
 
-def _simulate_site(forest, site_pose, n_frames, spacing, scanner, seed):
+def _simulate_site(forest, site_pose, n_frames, spacing, noise, seed):
     """Scans spacing meters apart along site_pose's heading; scan k gets seed + k."""
     scans = []
     heading = site_pose.theta
@@ -140,7 +141,7 @@ def _simulate_site(forest, site_pose, n_frames, spacing, scanner, seed):
             [math.cos(heading), math.sin(heading)]
         ) * (spacing * k)
         pose = RigidTransform2D(heading, site_pose.t + offset)
-        scans.append(simulate_scan(forest, pose, scanner, seed=seed + k))
+        scans.append(simulate_scan(forest, pose, noise, seed=seed + k))
     return scans
 
 
@@ -159,7 +160,7 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None):
     graph_map.star_index
     rng = np.random.default_rng(config.seed + 1)
     w, h = config.area
-    m = config.margin
+    m = SITE_MARGIN
     sites = [
         RigidTransform2D(
             rng.uniform(-math.pi, math.pi),
@@ -174,8 +175,8 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None):
             forest,
             site_pose,
             max_frames,
-            config.frame_spacing,
-            config.scanner,
+            FRAME_SPACING,
+            config.noise,
             seed=config.seed + 1000 * site_id,
         )
         for frames in config.frames_list:
@@ -185,12 +186,12 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None):
             success, trans_err, rot_err = False, float("nan"), float("nan")
             t_localmap = t_match = 0.0
             try:
-                trunk_map = extract_trunk_map(cloud, config.extraction)
+                trunk_map = extract_trunk_map(cloud, BENCHMARK_EXTRACTION)
                 n_trunks = len(trunk_map)
                 graph_local = triangulate(trunk_map)
                 t_localmap = time.perf_counter() - t0
                 t0 = time.perf_counter()
-                result = localize(graph_local, graph_map, config.match)
+                result = localize(graph_local, graph_map)
                 t_match = time.perf_counter() - t0
                 matches = result.match_count
                 truth = scans[0].true_pose
@@ -199,8 +200,8 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None):
                     math.degrees(normalize_angle(result.pose.theta - truth.theta))
                 )
                 success = (
-                    trans_err < config.success_translation
-                    and rot_err < config.success_rotation_deg
+                    trans_err < SUCCESS_TRANSLATION
+                    and rot_err < SUCCESS_ROTATION_DEG
                 )
             except ForestLocError:
                 if t_localmap == 0.0:
@@ -254,56 +255,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-RESULTS_HEADER = (
-    "frames,avg_trunks,avg_matched_triangles,success_rate,trans_err_mean,"
-    "trans_err_std,rot_err_mean,rot_err_max,t_localmap,t_match"
-)
-DETAIL_HEADER = (
-    "frames,site,n_trunks,matches,success,trans_err,rot_err,t_localmap,t_match"
-)
+RESULTS_HEADER = ",".join(f.name for f in fields(BenchmarkRow))
+DETAIL_HEADER = ",".join(f.name for f in fields(BenchmarkDetail))
 
 
 def write_benchmark_csv(rows, details, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "results.csv", "w", encoding="utf-8") as fh:
-        fh.write(RESULTS_HEADER + "\n")
-        for r in rows:
-            fh.write(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        r.frames,
-                        r.avg_trunks,
-                        r.avg_matched_triangles,
-                        r.success_rate,
-                        r.trans_err_mean,
-                        r.trans_err_std,
-                        r.rot_err_mean,
-                        r.rot_err_max,
-                        r.t_localmap,
-                        r.t_match,
-                    )
-                )
-                + "\n"
-            )
-    with open(out / "detail.csv", "w", encoding="utf-8") as fh:
-        fh.write(DETAIL_HEADER + "\n")
-        for d in details:
-            fh.write(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        d.frames,
-                        d.site,
-                        d.n_trunks,
-                        d.matches,
-                        d.success,
-                        d.trans_err,
-                        d.rot_err,
-                        d.t_localmap,
-                        d.t_match,
-                    )
-                )
-                + "\n"
-            )
+    for name, header, records in (
+        ("results.csv", RESULTS_HEADER, rows),
+        ("detail.csv", DETAIL_HEADER, details),
+    ):
+        with open(out / name, "w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            for record in records:
+                fh.write(",".join(_fmt(v) for v in astuple(record)) + "\n")

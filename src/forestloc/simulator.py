@@ -20,25 +20,37 @@ from .geometry import RigidTransform2D
 from .trunks import TrunkMap
 
 
+# The stand: trunks at least MIN_SPACING apart, diameters ~ N(DBH_MEAN, DBH_STD).
+MIN_SPACING = 1.5  # meters, center to center
+DBH_MEAN = 0.3  # trunk diameter, meters
+DBH_STD = 0.08
+
+# The scanner geometry; simulate_scan takes only the range noise sigma.
+CHANNELS = 16
+VERTICAL_FOV = 30.0  # degrees, full span, centered on the horizon
+HORIZONTAL_FOV = 210.0  # degrees, centered on the heading
+MAX_RANGE = 100.0  # meters
+ANGULAR_RESOLUTION = 0.2  # degrees between azimuth steps
+MOUNT_HEIGHT = 1.5  # meters
+
+
+def _check_noise(noise) -> None:
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and non-negative, got {noise}")
+
+
 @dataclass(frozen=True)
 class ForestSpec:
     area: tuple = (200.0, 200.0)  # width, height in meters
     density: float = 350.0  # trees per hectare
-    min_spacing: float = 1.5  # minimum center-to-center distance
-    dbh_mean: float = 0.3  # trunk diameter, meters
-    dbh_std: float = 0.08
     seed: int = 0
 
     def __post_init__(self):
         w, h = self.area
-        if w <= 0 or h <= 0:
-            raise ValueError("area sides must be positive")
-        if self.density <= 0:
-            raise ValueError("density must be positive")
-        if self.min_spacing <= 0:
-            raise ValueError("min_spacing must be positive")
-        if self.dbh_mean <= 0 or self.dbh_std < 0:
-            raise ValueError("dbh parameters invalid")
+        if not all(math.isfinite(v) and v > 0 for v in (w, h)):
+            raise ValueError(f"area sides must be finite and positive, got {self.area}")
+        if not (math.isfinite(self.density) and self.density > 0):
+            raise ValueError(f"density must be finite and positive, got {self.density}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +81,7 @@ def generate_forest(spec: ForestSpec) -> Forest:
     """Dart-throwing Poisson-disc sampling at the requested density.
 
     Deterministic for a fixed seed.  Raises InfeasibleForestError when
-    the density cannot be packed at min_spacing (fewer than 90% of the
+    the density cannot be packed at MIN_SPACING (fewer than 90% of the
     target placed within the attempt budget).
     """
     rng = np.random.default_rng(spec.seed)
@@ -77,13 +89,13 @@ def generate_forest(spec: ForestSpec) -> Forest:
     target = int(round(spec.density * w * h / 10000.0))
     if target == 0:
         return Forest(positions=np.zeros((0, 2)), radii=np.zeros(0), area=spec.area)
-    cell = spec.min_spacing / math.sqrt(2.0)
+    cell = MIN_SPACING / math.sqrt(2.0)
     nx, ny = int(w / cell) + 1, int(h / cell) + 1
     grid = np.full((nx, ny), -1, dtype=np.intp)
     placed = np.empty((target, 2))
     count = 0
     budget = 200 * target
-    s2 = spec.min_spacing * spec.min_spacing
+    s2 = MIN_SPACING * MIN_SPACING
     for _ in range(budget):
         x = rng.uniform(0.0, w)
         y = rng.uniform(0.0, h)
@@ -110,33 +122,10 @@ def generate_forest(spec: ForestSpec) -> Forest:
     if count < math.ceil(0.9 * target):
         raise InfeasibleForestError(
             f"infeasible forest: placed {count} of {target} trees "
-            f"at spacing {spec.min_spacing}"
+            f"at spacing {MIN_SPACING}"
         )
-    radii = np.clip(rng.normal(spec.dbh_mean, spec.dbh_std, count), 0.06, None) / 2.0
+    radii = np.clip(rng.normal(DBH_MEAN, DBH_STD, count), 0.06, None) / 2.0
     return Forest(positions=placed[:count].copy(), radii=radii, area=spec.area)
-
-
-@dataclass(frozen=True)
-class ScannerSpec:
-    channels: int = 16
-    vertical_fov: float = 30.0  # degrees, full span, centered on the horizon
-    horizontal_fov: float = 210.0  # degrees, centered on the heading
-    max_range: float = 100.0
-    range_noise_sigma: float = 0.03
-    angular_resolution: float = 0.2  # degrees between azimuth steps
-    mount_height: float = 1.5
-
-    def __post_init__(self):
-        if self.channels < 1:
-            raise ValueError("channels must be at least 1")
-        if not 0 < self.horizontal_fov <= 360.0:
-            raise ValueError("horizontal_fov must be in (0, 360]")
-        if self.vertical_fov <= 0 or self.max_range <= 0:
-            raise ValueError("vertical_fov and max_range must be positive")
-        if self.angular_resolution <= 0 or self.mount_height <= 0:
-            raise ValueError("angular_resolution and mount_height must be positive")
-        if self.range_noise_sigma < 0:
-            raise ValueError("range_noise_sigma must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -154,18 +143,21 @@ class SimulatedScan:
 def simulate_scan(
     forest: Forest,
     pose: RigidTransform2D,
-    scanner: ScannerSpec | None = None,
+    noise: float = 0.03,
     seed: int = 0,
 ) -> SimulatedScan:
-    """One scan from ``pose``; rows ordered channel-major, azimuth-minor."""
-    scanner = scanner or ScannerSpec()
+    """One scan from ``pose`` with range noise sigma ``noise`` (m).
+
+    Rows are ordered channel-major, azimuth-minor.
+    """
+    _check_noise(noise)
     rng = np.random.default_rng(seed)
-    res = math.radians(scanner.angular_resolution)
-    half = math.radians(scanner.horizontal_fov) / 2.0
-    n_az = int(round(math.radians(scanner.horizontal_fov) / res))
+    res = math.radians(ANGULAR_RESOLUTION)
+    half = math.radians(HORIZONTAL_FOV) / 2.0
+    n_az = int(round(math.radians(HORIZONTAL_FOV) / res))
     az = -half + (np.arange(n_az) + 0.5) * res  # sensor-frame azimuths
     elevations = np.radians(
-        np.linspace(-scanner.vertical_fov / 2.0, scanner.vertical_fov / 2.0, scanner.channels)
+        np.linspace(-VERTICAL_FOV / 2.0, VERTICAL_FOV / 2.0, CHANNELS)
     )
 
     # horizontal prepass: first cylinder hit along each azimuth
@@ -174,7 +166,7 @@ def simulate_scan(
     if len(forest) > 0:
         rel = forest.positions - pose.t
         near = np.flatnonzero(
-            (rel**2).sum(axis=1) <= (scanner.max_range + forest.radii.max()) ** 2
+            (rel**2).sum(axis=1) <= (MAX_RANGE + forest.radii.max()) ** 2
         )
         if len(near) > 0:
             rel = rel[near]
@@ -197,12 +189,12 @@ def simulate_scan(
         cos_e = math.cos(elev)
         rho_trunk = s2d / cos_e
         if elev < 0.0:
-            s_ground = scanner.mount_height / -math.tan(elev)
+            s_ground = MOUNT_HEIGHT / -math.tan(elev)
             rho_ground = s_ground / cos_e
-            ground_ok = rho_ground <= scanner.max_range
+            ground_ok = rho_ground <= MAX_RANGE
         else:
             s_ground, rho_ground, ground_ok = np.inf, np.inf, False
-        take_trunk = trunk_hit & (s2d < s_ground) & (rho_trunk <= scanner.max_range)
+        take_trunk = trunk_hit & (s2d < s_ground) & (rho_trunk <= MAX_RANGE)
         # the ground plane occludes any trunk surface farther along the ray
         take_ground = (s_ground <= s2d) if ground_ok else np.zeros(n_az, dtype=bool)
         idx = np.flatnonzero(take_trunk | take_ground)
@@ -217,16 +209,16 @@ def simulate_scan(
     az_idx = np.concatenate(az_parts) if az_parts else np.zeros(0, np.intp)
     elevs = np.concatenate(elev_parts) if elev_parts else np.zeros(0)
     rho = np.concatenate(rho_parts) if rho_parts else np.zeros(0)
-    if scanner.range_noise_sigma > 0 and len(rho):
-        rho = rho + rng.normal(0.0, scanner.range_noise_sigma, len(rho))
-    keep = (rho > 0.0) & (rho <= scanner.max_range)
+    if noise > 0 and len(rho):
+        rho = rho + rng.normal(0.0, noise, len(rho))
+    keep = (rho > 0.0) & (rho <= MAX_RANGE)
     az_idx, elevs, rho = az_idx[keep], elevs[keep], rho[keep]
     horiz = rho * np.cos(elevs)
     cloud = np.column_stack(
         [
             horiz * np.cos(az[az_idx]),
             horiz * np.sin(az[az_idx]),
-            scanner.mount_height + rho * np.sin(elevs),
+            MOUNT_HEIGHT + rho * np.sin(elevs),
         ]
     )
     return SimulatedScan(

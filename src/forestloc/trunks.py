@@ -9,6 +9,7 @@ cluster is reduced to a 2D centroid landmark.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,14 +37,11 @@ class TrunkExtractionParams:
     min_cluster_size: int = 30
 
     def __post_init__(self):
-        if self.probe_height <= 0:
-            raise ValueError("probe_height must be positive")
-        if self.probe_tolerance <= 0:
-            raise ValueError("probe_tolerance must be positive")
+        for name in ("probe_height", "probe_tolerance", "cluster_tolerance"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be finite and positive")
         if self.probe_tolerance >= self.probe_height:
             raise ValueError("probe_tolerance must be smaller than probe_height")
-        if self.cluster_tolerance <= 0:
-            raise ValueError("cluster_tolerance must be positive")
         if self.min_cluster_size < 1:
             raise ValueError("min_cluster_size must be at least 1")
 

@@ -17,7 +17,6 @@ from forestloc.dtgraph import load_graph, save_graph, triangulate
 from forestloc.geometry import RigidTransform2D, save_xyz
 from forestloc.simulator import (
     ForestSpec,
-    ScannerSpec,
     aggregate_scans,
     generate_forest,
     simulate_scan,
@@ -111,6 +110,24 @@ def test_extract_missing_input(tmp_path, capsys):
     )
     assert code == EXIT_ERROR
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [
+        ("--dth", "nan", "probe_tolerance"),
+        ("--cluster-tol", "nan", "cluster_tolerance"),
+        ("--th", "inf", "probe_height"),
+    ],
+)
+def test_extract_rejects_non_finite_lengths(tmp_path, capsys, flag, value, name):
+    cloud_path = tmp_path / "cloud.xyz"
+    out = tmp_path / "t.csv"
+    cylinder_cloud(cloud_path)
+    code = main(["extract", "--input", str(cloud_path), "--output", str(out), flag, value])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {name} must be finite and positive\n"
+    assert not out.exists()
 
 
 def test_triangulate(scene, tmp_path, capsys):
@@ -260,10 +277,9 @@ def test_simulate(tmp_path, capsys):
     assert (out / "trunks.csv").exists()
     assert len((out / "site_000.xyz").read_text().splitlines()) > 100
     forest = generate_forest(ForestSpec(area=(60.0, 60.0), density=200.0, seed=11))
-    scanner = ScannerSpec(range_noise_sigma=0.03)
     # site 0: heading 0, scans 1 m apart, scan k seeded with --seed + k
     scan_poses = [RigidTransform2D(0.0, np.array([30.0 + k, 30.0])) for k in range(2)]
-    scans = [simulate_scan(forest, p, scanner, seed=11 + k) for k, p in enumerate(scan_poses)]
+    scans = [simulate_scan(forest, p, noise=0.03, seed=11 + k) for k, p in enumerate(scan_poses)]
     save_xyz(tmp_path / "expected.xyz", aggregate_scans(scans), comment="site 0")
     assert (out / "site_000.xyz").read_bytes() == (tmp_path / "expected.xyz").read_bytes()
     assert (out / "site_001.xyz").exists()
@@ -282,6 +298,31 @@ def test_simulate_bad_pose_row(tmp_path, capsys):
     )
     assert code == EXIT_ERROR
     assert "expected x,y,theta_deg rows" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--frames-per-site", "0"], "--frames-per-site must be at least 1"),
+        (["--noise", "nan"], "noise must be finite and non-negative"),
+        (["--noise", "inf"], "noise must be finite and non-negative"),
+        (["--spacing", "nan"], "--spacing must be finite"),
+        (["--area", "100xinf"], "area sides must be finite and positive"),
+        (["--density", "inf"], "density must be finite and positive"),
+        (["--density", "nan"], "density must be finite and positive"),
+    ],
+)
+def test_simulate_rejects_bad_arguments_before_writing(tmp_path, capsys, args, message):
+    path_csv = tmp_path / "route.csv"
+    path_csv.write_text("30.0,30.0,0.0\n")
+    out = tmp_path / "sim"
+    out.mkdir()
+    code = main(["simulate", "--path", str(path_csv), "--out", str(out)] + args)
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert list(out.iterdir()) == []
 
 
 def test_benchmark(tmp_path, capsys):
@@ -302,6 +343,24 @@ def test_benchmark(tmp_path, capsys):
     assert all(0.0 <= r["success_rate"] <= 1.0 for r in rows)
     assert (out / "results.csv").exists()
     assert (out / "detail.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--area", "100xinf"], "area sides must be finite and positive"),
+        (["--density", "inf"], "density must be finite and positive"),
+        (["--density", "nan"], "density must be finite and positive"),
+        (["--noise", "nan"], "noise must be finite and non-negative"),
+    ],
+)
+def test_benchmark_rejects_non_finite_settings(tmp_path, capsys, args, message):
+    out = tmp_path / "bench"
+    code = main(["benchmark", "--out", str(out), "--sites", "1", "--frames", "1"] + args)
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
 
 
 def test_benchmark_bad_frames(tmp_path, capsys):

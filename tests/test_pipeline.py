@@ -9,15 +9,22 @@ from forestloc.dtgraph import triangulate
 from forestloc.errors import NoOverlapError
 from forestloc.geometry import RigidTransform2D, normalize_angle
 from forestloc.pipeline import (
-    DETAIL_HEADER,
-    RESULTS_HEADER,
+    SUCCESS_ROTATION_DEG,
+    SUCCESS_TRANSLATION,
     BenchmarkConfig,
     run_benchmark,
     run_pipeline,
     write_benchmark_csv,
 )
-from forestloc.simulator import ForestSpec, ScannerSpec, aggregate_scans, generate_forest, simulate_scan
+from forestloc.simulator import ForestSpec, aggregate_scans, generate_forest, simulate_scan
 from forestloc.trunks import TrunkExtractionParams, extract_trunk_map
+
+
+RESULTS_HEADER = (
+    "frames,avg_trunks,avg_matched_triangles,success_rate,trans_err_mean,"
+    "trans_err_std,rot_err_mean,rot_err_max,t_localmap,t_match"
+)
+DETAIL_HEADER = "frames,site,n_trunks,matches,success,trans_err,rot_err,t_localmap,t_match"
 
 
 def scene(seed=0, heading=0.3, origin=(50.0, 50.0), frames=5):
@@ -78,6 +85,12 @@ def test_benchmark_config_validation():
         BenchmarkConfig(sites=0)
 
 
+@pytest.mark.parametrize("noise", [math.nan, math.inf, -0.01])
+def test_benchmark_config_rejects_bad_noise(noise):
+    with pytest.raises(ValueError, match="noise must be finite and non-negative"):
+        BenchmarkConfig(noise=noise)
+
+
 @pytest.fixture(scope="module")
 def bench():
     cfg = BenchmarkConfig(frames_list=(1, 5), sites=5, seed=0, area=(150.0, 150.0))
@@ -112,11 +125,11 @@ def test_benchmark_rows_within_bounds(bench):
 
 
 def test_benchmark_detail_errors_match_success(bench):
-    cfg, _, details = bench
+    _, _, details = bench
     for d in details:
         if d.success:
-            assert d.trans_err < cfg.success_translation
-            assert d.rot_err < cfg.success_rotation_deg
+            assert d.trans_err < SUCCESS_TRANSLATION
+            assert d.rot_err < SUCCESS_ROTATION_DEG
         assert d.n_trunks >= 0 and d.matches >= 0
 
 
@@ -162,7 +175,7 @@ def test_benchmark_noise_free_succeeds():
         sites=3,
         seed=1,
         area=(150.0, 150.0),
-        scanner=ScannerSpec(range_noise_sigma=0.0),
+        noise=0.0,
     )
     rows, _ = run_benchmark(cfg)
     assert rows[0].success_rate == 1.0

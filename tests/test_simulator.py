@@ -8,15 +8,15 @@ import pytest
 from forestloc.errors import InfeasibleForestError
 from forestloc.geometry import RigidTransform2D
 from forestloc.simulator import (
+    MAX_RANGE,
+    MIN_SPACING,
+    MOUNT_HEIGHT,
     Forest,
     ForestSpec,
-    ScannerSpec,
     aggregate_scans,
     generate_forest,
     simulate_scan,
 )
-
-NOISELESS = ScannerSpec(range_noise_sigma=0.0)
 
 
 def one_tree(x, y, radius=0.2, area=(40.0, 40.0)):
@@ -31,11 +31,21 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ForestSpec(density=0.0)
     with pytest.raises(ValueError):
-        ForestSpec(min_spacing=-1.0)
-    with pytest.raises(ValueError):
-        ScannerSpec(horizontal_fov=400.0)
-    with pytest.raises(ValueError):
-        ScannerSpec(channels=0)
+        ForestSpec(area=(0.0, 100.0))
+
+
+@pytest.mark.parametrize("side", [math.inf, -math.inf, math.nan])
+def test_spec_rejects_non_finite_area(side):
+    with pytest.raises(ValueError, match="area sides must be finite and positive"):
+        ForestSpec(area=(100.0, side))
+    with pytest.raises(ValueError, match="area sides must be finite and positive"):
+        ForestSpec(area=(side, 100.0))
+
+
+@pytest.mark.parametrize("density", [math.inf, math.nan, -1.0])
+def test_spec_rejects_non_finite_density(density):
+    with pytest.raises(ValueError, match="density must be finite and positive"):
+        ForestSpec(density=density)
 
 
 def test_forest_density_and_spacing():
@@ -44,7 +54,7 @@ def test_forest_density_and_spacing():
     assert 450 <= len(forest) <= 550
     d = np.sqrt(((forest.positions[:, None] - forest.positions[None]) ** 2).sum(-1))
     np.fill_diagonal(d, np.inf)
-    assert d.min() >= spec.min_spacing
+    assert d.min() >= MIN_SPACING
     assert (forest.positions >= 0).all()
     assert (forest.positions[:, 0] <= 100.0).all()
     assert (forest.positions[:, 1] <= 100.0).all()
@@ -80,7 +90,7 @@ def test_scan_single_tree_surface():
     """Noise-free returns sit on the cylinder surface, bearing at the tree."""
     forest = one_tree(5.0, 0.0)
     pose = RigidTransform2D(0.0, np.array([0.0, 0.0]))
-    scan = simulate_scan(forest, pose, NOISELESS, seed=0)
+    scan = simulate_scan(forest, pose, noise=0.0)
     trunk = scan.cloud[scan.cloud[:, 2] > 0.01]
     assert len(trunk) > 50
     r = np.hypot(trunk[:, 0] - 5.0, trunk[:, 1])
@@ -92,17 +102,17 @@ def test_scan_single_tree_surface():
 
 
 def test_scan_analytic_first_hit():
-    """Every return matches the closed-form ray-circle intersection."""
+    """Every trunk return's horizontal range is the closed-form ray-circle hit."""
     d, r = 5.0, 0.2
     forest = one_tree(d, 0.0, radius=r)
     pose = RigidTransform2D(0.0, np.array([0.0, 0.0]))
-    sc = ScannerSpec(range_noise_sigma=0.0, channels=1, vertical_fov=1e-12)
-    scan = simulate_scan(forest, pose, sc, seed=0)
-    assert len(scan.cloud) > 10
-    phi = np.arctan2(scan.cloud[:, 1], scan.cloud[:, 0])
+    scan = simulate_scan(forest, pose, noise=0.0)
+    trunk = scan.cloud[scan.cloud[:, 2] > 0.01]
+    assert len(trunk) > 100
+    phi = np.arctan2(trunk[:, 1], trunk[:, 0])
     expected = d * np.cos(phi) - np.sqrt(r**2 - (d * np.sin(phi)) ** 2)
-    measured = np.hypot(scan.cloud[:, 0], scan.cloud[:, 1])
-    np.testing.assert_allclose(measured, expected, atol=1e-9)
+    measured = np.hypot(trunk[:, 0], trunk[:, 1])
+    np.testing.assert_allclose(measured, expected, rtol=0, atol=1e-9)
 
 
 def test_scan_occlusion():
@@ -112,7 +122,7 @@ def test_scan_occlusion():
         area=(40.0, 40.0),
     )
     pose = RigidTransform2D(0.0, np.array([0.0, 0.0]))
-    scan = simulate_scan(forest, pose, NOISELESS, seed=0)
+    scan = simulate_scan(forest, pose, noise=0.0)
     assert scan.visible_trunk_ids == {0}
 
 
@@ -124,7 +134,7 @@ def test_scan_occlusion_segment_property():
         area=(40.0, 40.0),
     )
     pose = RigidTransform2D(0.3, np.array([1.0, 0.5]))
-    scan = simulate_scan(forest, pose, NOISELESS, seed=0)
+    scan = simulate_scan(forest, pose, noise=0.0)
     world = pose.apply(scan.cloud[:, :2])
     for cx, cy, r in zip(*forest.positions.T, forest.radii):
         # distance from each segment (sensor -> point) to the cylinder axis
@@ -141,7 +151,7 @@ def test_scan_occlusion_segment_property():
 def test_scan_empty_forest_ground_only():
     empty = Forest(positions=np.zeros((0, 2)), radii=np.zeros(0), area=(40.0, 40.0))
     pose = RigidTransform2D(0.0, np.array([20.0, 20.0]))
-    scan = simulate_scan(empty, pose, NOISELESS, seed=0)
+    scan = simulate_scan(empty, pose, noise=0.0)
     assert len(scan.cloud) > 0
     assert np.abs(scan.cloud[:, 2]).max() < 1e-9
     assert scan.visible_trunk_ids == set()
@@ -153,8 +163,8 @@ def test_scan_bearing_within_fov():
     scan = simulate_scan(forest, pose, seed=1)
     bearings = np.degrees(np.arctan2(scan.cloud[:, 1], scan.cloud[:, 0]))
     assert np.abs(bearings).max() <= 105.0 + 1e-9
-    rho = np.linalg.norm(scan.cloud - [0, 0, ScannerSpec().mount_height], axis=1)
-    assert rho.max() <= ScannerSpec().max_range + 1e-9
+    rho = np.linalg.norm(scan.cloud - [0, 0, MOUNT_HEIGHT], axis=1)
+    assert rho.max() <= MAX_RANGE + 1e-9
 
 
 def test_scan_deterministic():
@@ -170,9 +180,9 @@ def test_scan_channel_major_ordering():
     """Points arrive channel by channel, each channel in azimuth order."""
     forest = one_tree(6.0, 0.0, radius=0.3)
     pose = RigidTransform2D(0.0, np.array([0.0, 0.0]))
-    scan = simulate_scan(forest, pose, NOISELESS, seed=0)
+    scan = simulate_scan(forest, pose, noise=0.0)
     elev = np.arctan2(
-        scan.cloud[:, 2] - 1.5, np.hypot(scan.cloud[:, 0], scan.cloud[:, 1])
+        scan.cloud[:, 2] - MOUNT_HEIGHT, np.hypot(scan.cloud[:, 0], scan.cloud[:, 1])
     )
     # elevation never decreases across the emitted order
     assert (np.diff(np.round(elev, 9)) >= -1e-9).all()
@@ -181,11 +191,18 @@ def test_scan_channel_major_ordering():
 def test_range_filter_with_noise():
     forest = generate_forest(ForestSpec(area=(60.0, 60.0), density=300.0, seed=6))
     pose = RigidTransform2D(0.0, np.array([30.0, 30.0]))
-    sc = ScannerSpec(range_noise_sigma=0.5)  # exaggerated noise
-    scan = simulate_scan(forest, pose, sc, seed=10)
-    rho = np.linalg.norm(scan.cloud - [0, 0, sc.mount_height], axis=1)
-    assert rho.max() <= sc.max_range + 1e-9
+    scan = simulate_scan(forest, pose, noise=0.5, seed=10)  # exaggerated noise
+    rho = np.linalg.norm(scan.cloud - [0, 0, MOUNT_HEIGHT], axis=1)
+    assert rho.max() <= MAX_RANGE + 1e-9
     assert rho.min() > 0.0
+
+
+@pytest.mark.parametrize("noise", [math.nan, math.inf, -0.01])
+def test_scan_rejects_bad_noise(noise):
+    forest = one_tree(5.0, 0.0)
+    pose = RigidTransform2D(0.0, np.array([0.0, 0.0]))
+    with pytest.raises(ValueError, match="noise must be finite and non-negative"):
+        simulate_scan(forest, pose, noise=noise)
 
 
 def test_aggregate_single_scan_verbatim():
@@ -201,8 +218,8 @@ def test_aggregate_two_scans_surfaces_coincide():
     forest = one_tree(10.0, 10.0, radius=0.25, area=(30.0, 30.0))
     p1 = RigidTransform2D(0.0, np.array([5.0, 10.0]))
     p2 = RigidTransform2D(0.5, np.array([6.0, 9.0]))
-    s1 = simulate_scan(forest, p1, NOISELESS, seed=0)
-    s2 = simulate_scan(forest, p2, NOISELESS, seed=0)
+    s1 = simulate_scan(forest, p1, noise=0.0)
+    s2 = simulate_scan(forest, p2, noise=0.0)
     agg = aggregate_scans([s1, s2])
     trunk = agg[agg[:, 2] > 0.01]
     world = p1.apply(trunk[:, :2])

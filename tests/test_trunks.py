@@ -45,6 +45,13 @@ def test_params_validation():
         TrunkExtractionParams(min_cluster_size=0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["probe_height", "probe_tolerance", "cluster_tolerance"])
+def test_params_reject_non_finite_lengths(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        TrunkExtractionParams(**{name: value})
+
+
 def test_vertical_line_keeps_low_points():
     """Points on a 0.5 m ladder keep z <= 1 with a 2 m probe."""
     cloud = np.array([[0.0, 0.0, z] for z in np.arange(0.0, 3.01, 0.5)])
