@@ -2,17 +2,18 @@
 
 The pipeline per local star: find global stars with componentwise-similar
 feature vectors (the map's log-feature kd-tree narrows the search, an
-exact relative-tolerance test decides), pair up the 6 star vertices
-(the most-similar center edge fixes a rotation of the CCW corner order,
-and the neighbor apexes follow the shared edges), and fit a rigid
-transform per candidate from the centered-vector rotation candidates.
-Pairing and fitting run on stacked arrays, a chunk of local stars'
-candidates at a time; the public one-pair functions call the same kernel.
-Verification then scores every surviving candidate transform (plus
-their componentwise median) on the summed pair residual of all matched
-vertices and polishes the best one by iteratively reweighted least
-squares, each step a closed-form weighted Procrustes fit.  The returned
-transform maps local coordinates into the global frame.
+exact relative-tolerance test decides, a chunk of local stars at a time),
+pair up the 6 star vertices (the most-similar center edge fixes a
+rotation of the CCW corner order, and the neighbor apexes follow the
+shared edges), and fit a rigid transform per candidate from the
+centered-vector rotation candidates.  One call pairs and fits every
+candidate, and matches stay rows of aligned arrays through verification;
+Correspondence records are built for the result only.  Verification
+scores every surviving candidate transform (plus their componentwise
+median) on the summed pair residual of all matched vertices and polishes
+the best one by iteratively reweighted least squares, each step a
+closed-form weighted Procrustes fit.  The returned transform maps local
+coordinates into the global frame.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     NoOverlapError,
     SizeCapError,
 )
-from .geometry import TWO_PI, RigidTransform2D, normalize_angle
+from .geometry import TWO_PI, RigidTransform2D
 
 _IRLS_RTOL = 1e-12  # stop once a step lowers the residual by less than this fraction
 _IRLS_MAX_ITER = 2000  # safety bound only; convergence ends the loop in practice
@@ -41,7 +42,7 @@ _IRLS_MIN_DIST = 1e-12  # meters: floor under 1/d so exact pairs keep a finite w
 # Star-index search pad: relative on the tolerance and absolute on the
 # log-space radius, far above the rounding of either test.
 _INDEX_PAD = 1e-9
-_INDEX_CHUNK = 64  # local stars searched and fitted together
+_INDEX_CHUNK = 64  # local stars searched together while the tolerance is below 0.25
 _MAX_CANDIDATES_PER_STAR = 8  # cap per local star, by ascending deviation
 # Center-edge pairings within this (m) of the best length difference count
 # as tied and are all evaluated.
@@ -123,41 +124,47 @@ def dissimilarity(d1: TriangleDescriptor, d2: TriangleDescriptor) -> float:
     return abs(d2.area - d1.area) + abs(d2.sq_perimeter - d1.sq_perimeter)
 
 
-def _candidate_indices(
-    features: np.ndarray, global_features: np.ndarray, params: MatchParams, rows
-):
-    """The given rows of global_features that pass, by ascending total deviation.
+def _candidates(graph_local: DTGraph, graph_map: DTGraph, tolerance: float):
+    """Every candidate (local star row, map star row) pair, as a (2, K) array.
 
-    Ties in deviation go to the lower index.
+    A map star passes when no feature deviates from the local star's by
+    more than tolerance times the local value; each local star keeps its
+    _MAX_CANDIDATES_PER_STAR passing stars of least summed deviation, ties
+    to the lower row, in local row order.  For tol < 1, |g - f| <= tol * f
+    puts every log feature of g within -log1p(-tol) of f's (the wider side
+    of the band), so padded by _INDEX_PAD the star index finds every
+    passing star.  From tolerance 0.25 on, hit lists grow long (every map
+    star is a hit from 1 on), so local stars are searched one at a time.
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    if len(rows) == 0:
-        return []
-    rel = np.abs(global_features[rows] - features) / features
-    ok = (rel <= params.feature_tolerance).all(axis=1)
-    if not ok.any():
-        return []
-    idx = rows[ok]
-    dev = rel[ok].sum(axis=1)
-    order = np.lexsort((idx, dev))
-    return list(idx[order[:_MAX_CANDIDATES_PER_STAR]])
-
-
-def _index_hits(graph_map: DTGraph, local_features: np.ndarray, tolerance: float):
-    """Per local star, the map-star rows the star index cannot rule out.
-
-    For tol < 1, |g - f| <= tol * f puts every log feature of g within
-    -log1p(-tol) of f's (the wider side of the band).  The tolerance and
-    the radius are both padded by _INDEX_PAD, so a star the exact test
-    keeps is always a hit.  From tolerance 1 on the band has no lower
-    end, and every map star is a hit.
-    """
+    local, table = graph_local.star_features, graph_map.star_features
     padded = tolerance * (1.0 + _INDEX_PAD)
-    if not padded < 1.0:
-        return [np.arange(len(graph_map.star_features))] * len(local_features)
-    radius = _INDEX_PAD - math.log1p(-padded)
-    logs = log_star_features(local_features)
-    return graph_map.star_index.query_ball_point(logs, radius, p=np.inf)
+    chunk = _INDEX_CHUNK if padded < 0.25 else 1
+    pairs = [np.zeros((2, 0), dtype=np.intp)]
+    for start in range(0, len(local), chunk):
+        rows = np.arange(start, min(start + chunk, len(local)))
+        if padded < 1.0:
+            radius = _INDEX_PAD - math.log1p(-padded)
+            hits = graph_map.star_index.query_ball_point(
+                log_star_features(local[rows]), radius, p=np.inf
+            )
+        else:
+            hits = [np.arange(len(table))]
+        lrow = np.repeat(rows, [len(h) for h in hits])
+        mrow = np.concatenate(hits).astype(np.intp)
+        f = local[lrow]
+        rel = np.abs(table[mrow] - f) / f
+        ok = np.flatnonzero((rel <= tolerance).all(axis=1))
+        ok = ok[np.lexsort((mrow[ok], rel[ok].sum(axis=1), lrow[ok]))]
+        rank = np.arange(len(ok)) - np.searchsorted(lrow[ok], lrow[ok])
+        ok = ok[rank < _MAX_CANDIDATES_PER_STAR]
+        pairs.append(np.stack([lrow[ok], mrow[ok]]))
+    return np.hstack(pairs)
+
+
+def _wrap(theta):
+    """Angles wrapped to (-pi, pi], elementwise as normalize_angle wraps one."""
+    theta = np.mod(theta, TWO_PI)
+    return np.where(theta > math.pi, theta - TWO_PI, theta)
 
 
 def _fit(vl: np.ndarray, vg: np.ndarray):
@@ -169,7 +176,8 @@ def _fit(vl: np.ndarray, vg: np.ndarray):
     lower angle.  Vertices whose centered vector on either side is shorter
     than 1e-9 m contribute no candidate, and a row left with none gets
     residual inf.  The translation maps the rotated local centroid onto
-    the global one.  Thetas are returned as found, not normalized.
+    the global one.  Thetas come back wrapped to (-pi, pi], as a
+    RigidTransform2D holds them.
     """
     cl, cg = vl.mean(axis=1), vg.mean(axis=1)
     u, w = vl - cl[:, None], vg - cg[:, None]
@@ -179,13 +187,11 @@ def _fit(vl: np.ndarray, vg: np.ndarray):
     fit = _pair_distances(betas[..., None], 0.0, 0.0, u[:, None], w[:, None]).sum(axis=2)
     fit[~valid] = np.inf
     order = np.lexsort((betas, fit), axis=1)
-    theta = np.take_along_axis(betas, order[:, :1], axis=1)[:, 0]
-    c, s = np.cos(theta), np.sin(theta)
+    found = np.take_along_axis(betas, order[:, :1], axis=1)[:, 0]
+    c, s = np.cos(found), np.sin(found)
     t = cg - np.column_stack([c * cl[:, 0] - s * cl[:, 1], s * cl[:, 0] + c * cl[:, 1]])
-    # the residual is taken at the normalized angle a RigidTransform2D holds
-    turn = np.mod(theta, TWO_PI)
-    turn = np.where(turn > math.pi, turn - TWO_PI, turn)
-    residual = _pair_distances(turn[:, None], t[:, :1], t[:, 1:], vl, vg).sum(axis=1)
+    theta = _wrap(found)
+    residual = _pair_distances(theta[:, None], t[:, :1], t[:, 1:], vl, vg).sum(axis=1)
     residual[~valid.any(axis=1)] = np.inf
     return theta, t, residual
 
@@ -290,26 +296,22 @@ def _stack_pairs(correspondences, points_local, points_global):
     return points_local[li], points_global[gi]
 
 
-def _mad_filter(correspondences):
-    """Drop transform outliers beyond 3 MADs of the componentwise medians.
+def _mad_filter(theta, t, residual):
+    """The rows kept after dropping transform outliers beyond 3 MADs.
 
-    Angles are compared as offsets from the lowest-residual candidate's
-    angle so a cluster straddling the -pi/pi seam stays intact.  The
-    filter only applies when at least 4 candidates survive it.
+    Each of angle, x and y is compared with its median.  Angles are
+    taken as offsets from the lowest-residual row's angle so a cluster
+    straddling the -pi/pi seam stays intact.  The filter only applies
+    when at least 4 rows survive it.
     """
-    if len(correspondences) < 4:
-        return list(correspondences)
-    ref = min(correspondences, key=lambda c: c.residual).transform.theta
-    delta = np.array([normalize_angle(c.transform.theta - ref) for c in correspondences])
-    ts = np.array([c.transform.t for c in correspondences])
-    keep = np.ones(len(correspondences), dtype=bool)
-    for comp in (delta, ts[:, 0], ts[:, 1]):
-        med = np.median(comp)
-        mad = np.median(np.abs(comp - med))
-        keep &= np.abs(comp - med) <= 3.0 * mad + 1e-6
-    if keep.sum() >= 4:
-        return [c for c, k in zip(correspondences, keep) if k]
-    return list(correspondences)
+    if len(theta) < 4:
+        return np.arange(len(theta))
+    delta = _wrap(theta - theta[np.argmin(residual)])
+    keep = np.ones(len(theta), dtype=bool)
+    for comp in (delta, t[:, 0], t[:, 1]):
+        dev = np.abs(comp - np.median(comp))
+        keep &= dev <= 3.0 * np.median(dev) + 1e-6
+    return np.flatnonzero(keep) if keep.sum() >= 4 else np.arange(len(theta))
 
 
 def _pair_distances(theta, x, y, vl, vg) -> np.ndarray:
@@ -368,50 +370,6 @@ def _verify(vl, vg, seeds):
     return best[1], best[2], best[3], best[0]
 
 
-def _accepted_correspondences(graph_local, graph_map, params):
-    """Per local star, its candidate fit of lowest (residual, map center).
-
-    The candidates of each chunk of local stars are paired and fitted in
-    one _pair_and_fit call; ambiguous and unfittable ones are skipped.
-    Returns the accepted Correspondences, in local star order, and the
-    number of candidates tried.
-    """
-    local, table = graph_local.star_table, graph_map.star_table
-    tol = params.feature_tolerance
-    accepted = []
-    candidate_count = 0
-    # chunks of local stars bound the live index hit lists and fit arrays
-    for start in range(0, len(local.features), _INDEX_CHUNK):
-        hits = _index_hits(graph_map, local.features[start : start + _INDEX_CHUNK], tol)
-        pairs = [
-            (row, col)
-            for row, rows in enumerate(hits, start)
-            for col in _candidate_indices(local.features[row], table.features, params, rows)
-        ]
-        candidate_count += len(pairs)
-        if not pairs:
-            continue
-        lrow, mrow = np.array(pairs, dtype=np.intp).T
-        paired, theta, t, residual, ambiguous = _pair_and_fit(
-            local.vertices[lrow], table.vertices[mrow], graph_local.points, graph_map.points
-        )
-        ok = np.flatnonzero(~ambiguous & (residual < np.inf))
-        ok = ok[np.lexsort((table.centers[mrow[ok]], residual[ok], lrow[ok]))]
-        _, first = np.unique(lrow[ok], return_index=True)
-        for i in ok[first]:
-            accepted.append(
-                Correspondence(
-                    star_local=graph_local.star(lrow[i]),
-                    star_global=graph_map.star(mrow[i]),
-                    local_vertices=tuple(local.vertices[lrow[i]].tolist()),
-                    global_vertices=tuple(paired[i].tolist()),
-                    transform=RigidTransform2D(float(theta[i]), t[i]),
-                    residual=float(residual[i]),
-                )
-            )
-    return accepted, candidate_count
-
-
 def localize(
     graph_local: DTGraph,
     graph_map: DTGraph,
@@ -419,8 +377,10 @@ def localize(
 ) -> LocalizationResult:
     """Estimate the rigid transform taking local coordinates to map coordinates.
 
-    Raises NoOverlapError when no local star finds any feature candidate,
-    and InsufficientMatchesError when fewer than min_matches stars match.
+    Each local star accepts its candidate fit of lowest (residual, map
+    center) that is neither ambiguous nor unfittable.  Raises
+    NoOverlapError when no local star finds any feature candidate, and
+    InsufficientMatchesError when fewer than min_matches stars match.
     """
     params = params or MatchParams()
     t_start = time.perf_counter()
@@ -428,35 +388,51 @@ def localize(
     graph_map.star_index
     graph_local.star_features
     t_stars = time.perf_counter()
-    accepted, candidate_count = _accepted_correspondences(graph_local, graph_map, params)
-    if candidate_count == 0:
+    local, table = graph_local.star_table, graph_map.star_table
+    lrow, mrow = _candidates(graph_local, graph_map, params.feature_tolerance)
+    if len(lrow) == 0:
         raise NoOverlapError("no overlap")
+    paired, theta, t, residual, ambiguous = _pair_and_fit(
+        local.vertices[lrow], table.vertices[mrow], graph_local.points, graph_map.points
+    )
+    ok = np.flatnonzero(~ambiguous & (residual < np.inf))
+    ok = ok[np.lexsort((table.centers[mrow[ok]], residual[ok], lrow[ok]))]
+    _, first = np.unique(lrow[ok], return_index=True)
+    accepted = ok[first]  # candidate rows, one per matched local star, in star order
     if len(accepted) < params.min_matches:
         raise InsufficientMatchesError("insufficient matches", match_count=len(accepted))
     t_match = time.perf_counter()
-    kept = _mad_filter(accepted)
-    thetas = np.array([c.transform.theta for c in kept])
-    ts = np.array([c.transform.t for c in kept])
-    seeds = [(float(np.mod(th, TWO_PI)), float(x), float(y)) for th, (x, y) in zip(thetas, ts)]
-    deltas = np.array([normalize_angle(th - thetas[0]) for th in thetas])
-    tx, ty = np.median(ts, axis=0)
-    seeds.append((float(np.mod(thetas[0] + np.median(deltas), TWO_PI)), float(tx), float(ty)))
-    vl, vg = _stack_pairs(kept, graph_local.points, graph_map.points)
-    beta, x, y, residual = _verify(vl, vg, seeds)
+    kept = accepted[_mad_filter(theta[accepted], t[accepted], residual[accepted])]
+    thetas, ts = theta[kept], t[kept]
+    median = (thetas[0] + np.median(_wrap(thetas - thetas[0])), *np.median(ts, axis=0))
+    seeds = np.vstack([np.column_stack([thetas, ts]), median])
+    seeds[:, 0] = np.mod(seeds[:, 0], TWO_PI)
+    vl = graph_local.points[local.vertices[lrow[kept]].ravel()]
+    vg = graph_map.points[paired[kept].ravel()]
+    beta, x, y, residual_sum = _verify(vl, vg, seeds)
     t_verify = time.perf_counter()
-    pose = RigidTransform2D(beta, np.array([x, y]))
     return LocalizationResult(
-        pose=pose,
-        residual=residual,
+        pose=RigidTransform2D(beta, np.array([x, y])),
+        residual=residual_sum,
         match_count=len(accepted),
-        candidate_count=candidate_count,
+        candidate_count=len(lrow),
         elapsed={
             "stars": t_stars - t_start,
             "matching": t_match - t_stars,
             "verification": t_verify - t_match,
             "total": t_verify - t_start,
         },
-        correspondences=tuple(accepted),
+        correspondences=tuple(
+            Correspondence(
+                star_local=graph_local.star(lrow[i]),
+                star_global=graph_map.star(mrow[i]),
+                local_vertices=tuple(local.vertices[lrow[i]].tolist()),
+                global_vertices=tuple(paired[i].tolist()),
+                transform=RigidTransform2D(float(theta[i]), t[i]),
+                residual=float(residual[i]),
+            )
+            for i in accepted
+        ),
     )
 
 

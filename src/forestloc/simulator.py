@@ -51,6 +51,8 @@ class ForestSpec:
             raise ValueError(f"area sides must be finite and positive, got {self.area}")
         if not (math.isfinite(self.density) and self.density > 0):
             raise ValueError(f"density must be finite and positive, got {self.density}")
+        if not math.isfinite(self.density * w * h / 10000.0):
+            raise ValueError(f"tree count must be finite, got {self.density}/ha on {self.area}")
 
 
 @dataclass(frozen=True)

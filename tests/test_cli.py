@@ -311,6 +311,7 @@ def test_simulate_bad_pose_row(tmp_path, capsys):
         (["--area", "100xinf"], "area sides must be finite and positive"),
         (["--density", "inf"], "density must be finite and positive"),
         (["--density", "nan"], "density must be finite and positive"),
+        (["--area", "1e200x1e200"], "tree count must be finite"),
     ],
 )
 def test_simulate_rejects_bad_arguments_before_writing(tmp_path, capsys, args, message):
@@ -352,6 +353,7 @@ def test_benchmark(tmp_path, capsys):
         (["--density", "inf"], "density must be finite and positive"),
         (["--density", "nan"], "density must be finite and positive"),
         (["--noise", "nan"], "noise must be finite and non-negative"),
+        (["--area", "1e200x1e200"], "tree count must be finite"),
     ],
 )
 def test_benchmark_rejects_non_finite_settings(tmp_path, capsys, args, message):

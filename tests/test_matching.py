@@ -26,7 +26,7 @@ from forestloc.geometry import RigidTransform2D, normalize_angle
 from forestloc.matching import (
     _MAX_CANDIDATES_PER_STAR,
     MatchParams,
-    _candidate_indices,
+    _candidates,
     brute_force_match_oracle,
     correspond_vertices,
     dissimilarity,
@@ -102,18 +102,21 @@ def test_dissimilarity_rigid_invariance():
         assert d <= 1e-9 * max(a1[0], l1[0])
 
 
-def candidate_stars(star, graph, params=MatchParams()):
-    """The interior stars of graph that pass the candidate test for star."""
-    every = np.arange(len(graph.star_features))
-    idx = _candidate_indices(star.features, graph.star_features, params, every)
-    return [graph.interior_stars[i] for i in idx]
+def candidate_stars(graph_local, star, graph, params=MatchParams()):
+    """The interior stars of graph that pass the candidate test for star.
+
+    star is one of graph_local's interior stars.
+    """
+    lrow, mrow = _candidates(graph_local, graph, params.feature_tolerance)
+    row = np.flatnonzero(graph_local.star_table.centers == star.center)[0]
+    return [graph.interior_stars[i] for i in mrow[lrow == row]]
 
 
 def test_candidates_identity_first():
     g = make_graph(2)
     stars = g.interior_stars
     target = stars[len(stars) // 2]
-    cands = candidate_stars(target, g)
+    cands = candidate_stars(g, target, g)
     assert cands[0].center == target.center
 
 
@@ -123,7 +126,7 @@ def test_candidates_scaled_star_excluded():
     s = g.interior_stars[0]
     scaled = star_by_center_ids(g2, s.center_vertices)
     assert scaled is not None
-    cands = candidate_stars(scaled, g)
+    cands = candidate_stars(g2, scaled, g)
     assert all(c.center != s.center for c in cands)
 
 
@@ -133,7 +136,7 @@ def test_candidates_tolerance_bound():
     stars = g.interior_stars
     params = MatchParams(feature_tolerance=0.05)
     for s in stars[:10]:
-        for c in candidate_stars(s, g, params):
+        for c in candidate_stars(g, s, g, params):
             assert (np.abs(c.features - s.features) <= 0.05 * s.features + 1e-12).all()
 
 
@@ -142,7 +145,7 @@ def test_candidates_capped_and_sorted():
     stars = g.interior_stars
     params = MatchParams(feature_tolerance=0.8)
     s = stars[0]
-    cands = candidate_stars(s, g, params)
+    cands = candidate_stars(g, s, g, params)
     assert len(cands) == _MAX_CANDIDATES_PER_STAR
     devs = [np.abs((c.features - s.features) / s.features).sum() for c in cands]
     assert devs == sorted(devs)
@@ -162,7 +165,7 @@ def test_candidates_perturbed_original_found():
         s2 = star_by_center_ids(noisy, target.center_vertices)
         if s2 is None:
             continue  # noise flipped the triangulation here
-        cands = candidate_stars(s2, g)
+        cands = candidate_stars(noisy, s2, g)
         if any(c.center == target.center for c in cands):
             found += 1
     assert found >= 95
@@ -500,34 +503,53 @@ def linear_scan_candidates(g_loc, g_map, params):
 def localize_recording_candidates(monkeypatch, g_loc, g_map, params):
     """localize's outcome plus, per local star, the candidate centers it tried.
 
-    The candidate step runs once per local star, in star order, and every
-    candidate it returns is paired and fitted.  The outcome is the result,
-    or the type of the ForestLocError raised.
+    The candidate step runs once over all local stars and returns their
+    candidates in star order; every candidate it returns is paired and
+    fitted.  The outcome is the result, or the type of the ForestLocError
+    raised.
     """
-    tried = []
-    real = forestloc.matching._candidate_indices
+    calls = []
+    real = forestloc.matching._candidates
 
     def spy(*args, **kwargs):
-        rows = real(*args, **kwargs)
-        tried.append([g_map.interior_stars[i].center for i in rows])
-        return rows
+        pairs = real(*args, **kwargs)
+        calls.append(pairs)
+        return pairs
 
     with monkeypatch.context() as patch:
-        patch.setattr(forestloc.matching, "_candidate_indices", spy)
+        patch.setattr(forestloc.matching, "_candidates", spy)
         try:
             outcome = localize(g_loc, g_map, params)
         except ForestLocError as exc:
             outcome = type(exc)
-    assert len(tried) == len(g_loc.interior_stars)
-    return outcome, tried
+    assert len(calls) == 1
+    lrow, mrow = calls[0]
+    assert (np.diff(lrow) >= 0).all()
+    n_local = len(g_loc.star_table.centers)
+    assert ((lrow >= 0) & (lrow < n_local)).all()
+    centers = g_map.star_table.centers
+    return outcome, [centers[mrow[lrow == row]].tolist() for row in range(n_local)]
 
 
-@pytest.mark.parametrize("tolerance", [0.05, 0.8, 1.0, 1.5])
-def test_candidates_match_linear_scan(monkeypatch, tolerance):
+SMALL_INSTANCES = [dict(seed=seed) for seed in (31, 32, 33)]
+# 239 local and 637 map stars: at 0.05 the search crosses three 64-star chunk boundaries
+WITH_WIDE_WINDOW = SMALL_INSTANCES + [dict(seed=31, n=400, extent=120.0, window=80.0)]
+
+
+@pytest.mark.parametrize(
+    "tolerance, instances",
+    [
+        pytest.param(0.05, WITH_WIDE_WINDOW, id="0.05"),
+        pytest.param(0.8, SMALL_INSTANCES, id="0.8"),
+        pytest.param(1.0, SMALL_INSTANCES, id="1.0"),
+        pytest.param(1.5, WITH_WIDE_WINDOW, id="1.5"),
+    ],
+)
+def test_candidates_match_linear_scan(monkeypatch, tolerance, instances):
     """The star index finds exactly the candidates a full scan finds."""
     params = MatchParams(feature_tolerance=tolerance)
-    for seed in (31, 32, 33):
-        g_map, g_loc, _ = make_instance(seed, noise=0.02)
+    for kwargs in instances:
+        g_map, g_loc, _ = make_instance(**kwargs, noise=0.02)
         _, got = localize_recording_candidates(monkeypatch, g_loc, g_map, params)
         assert got == linear_scan_candidates(g_loc, g_map, params)
 

@@ -48,6 +48,13 @@ def test_spec_rejects_non_finite_density(density):
         ForestSpec(density=density)
 
 
+@pytest.mark.parametrize("area, density", [((1e200, 1e200), 350.0), ((1e300, 1.0), 1e300)])
+def test_spec_rejects_overflowing_tree_count(area, density):
+    """Finite sides and density whose tree count overflows are rejected."""
+    with pytest.raises(ValueError, match="tree count must be finite"):
+        ForestSpec(area=area, density=density)
+
+
 def test_forest_density_and_spacing():
     spec = ForestSpec(area=(100.0, 100.0), density=500.0, seed=42)
     forest = generate_forest(spec)
