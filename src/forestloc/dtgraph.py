@@ -32,12 +32,12 @@ from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
 from .errors import DegeneratePointSetError
 from .geometry import as_points2
 
+_STAR_INDEX_LEAF_SIZE = 128  # stars per star-index leaf; see DTGraph.star_index
+
 
 def _canonical_coords(coords: np.ndarray) -> np.ndarray:
     """Sort each triangle's 3 vertex rows lexicographically by (x, y)."""
-    order = np.argsort(coords[:, :, 1], axis=1, kind="stable")
-    coords = np.take_along_axis(coords, order[:, :, None], axis=1)
-    order = np.argsort(coords[:, :, 0], axis=1, kind="stable")
+    order = np.lexsort((coords[:, :, 1], coords[:, :, 0]), axis=1)
     return np.take_along_axis(coords, order[:, :, None], axis=1)
 
 
@@ -229,8 +229,16 @@ class DTGraph:
 
     @cached_property
     def star_index(self) -> cKDTree:
-        """kd-tree over log_star_features(star_features), rows aligned."""
-        return cKDTree(log_star_features(self.star_features))
+        """kd-tree over log_star_features(star_features), rows aligned.
+
+        Leaves hold _STAR_INDEX_LEAF_SIZE (128) stars, not cKDTree's 16.
+        In 8-D a tree with 16-star leaves is deep, and the matcher's ball
+        queries spend their time walking its nodes.  On an 8,750-trunk map
+        (2-core VM) the tolerance-0.05 search took 6.0 ms per 175-trunk
+        window at 16 and 3.7-3.9 ms at 128-1024, with the same hits at
+        every size.
+        """
+        return cKDTree(log_star_features(self.star_features), leafsize=_STAR_INDEX_LEAF_SIZE)
 
 
 def triangulate(landmarks) -> DTGraph:
@@ -244,7 +252,9 @@ def triangulate(landmarks) -> DTGraph:
     pts = as_points2(pts)
     if len(pts) < 3:
         raise DegeneratePointSetError("degenerate point set")
-    if len(np.unique(pts, axis=0)) != len(pts):
+    # equal rows are adjacent once sorted; == counts 0.0 and -0.0 as equal
+    ordered = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
         raise DegeneratePointSetError("degenerate point set")
     try:
         tri = Delaunay(pts)

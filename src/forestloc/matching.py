@@ -7,10 +7,11 @@ pair up the 6 star vertices (the most-similar center edge fixes a
 rotation of the CCW corner order, and the neighbor apexes follow the
 shared edges), and fit a rigid transform per candidate from the
 centered-vector rotation candidates.  One call pairs and fits every
-candidate, and matches stay rows of aligned arrays through verification;
-Correspondence records are built for the result only.  Verification
-scores every surviving candidate transform (plus their componentwise
-median) on the summed pair residual of all matched vertices and polishes
+candidate, and matches stay rows of aligned arrays through verification
+and into the result; its Correspondence records are built on the first
+read of LocalizationResult.correspondences.  Verification scores every
+surviving candidate transform (plus their componentwise median) on the
+summed pair residual of all matched vertices in one call and polishes
 the best one by iteratively reweighted least squares, each step a
 closed-form weighted Procrustes fit.  The returned transform maps local
 coordinates into the global frame.
@@ -20,7 +21,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -97,11 +99,17 @@ class LocalizationResult:
 
     residual: summed pair distance under pose, over the vertex pairs of
         the correspondences that the MAD filter keeps.
-    correspondences: every accepted correspondence, one per matched
-        local star (match_count of them), before the MAD filter.
     candidate_count: tolerance-passing (local, map) star pairs tried.
     elapsed: seconds per stage, keyed "stars", "matching", "verification",
         and "total".
+
+    The accepted matches, one per matched local star (match_count of
+    them, in star order, before the MAD filter), are kept as aligned
+    arrays: local_rows and map_rows index the two graphs' star tables,
+    paired holds the map vertex ids paired with the local star's
+    vertices, and thetas, translations and residuals its own fit.  The
+    correspondences property builds their Correspondence records on its
+    first read and returns the same tuple after.
     """
 
     pose: RigidTransform2D
@@ -109,7 +117,37 @@ class LocalizationResult:
     match_count: int
     candidate_count: int
     elapsed: dict
-    correspondences: tuple
+    graph_local: DTGraph = field(repr=False, compare=False)
+    graph_map: DTGraph = field(repr=False, compare=False)
+    local_rows: np.ndarray = field(repr=False, compare=False)
+    map_rows: np.ndarray = field(repr=False, compare=False)
+    paired: np.ndarray = field(repr=False, compare=False)  # (match_count, 6)
+    thetas: np.ndarray = field(repr=False, compare=False)
+    translations: np.ndarray = field(repr=False, compare=False)  # (match_count, 2)
+    residuals: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def correspondences(self) -> tuple:
+        """Every accepted correspondence, with its own transform and residual."""
+        vertices = self.graph_local.star_table.vertices
+        return tuple(
+            Correspondence(
+                star_local=self.graph_local.star(lrow),
+                star_global=self.graph_map.star(mrow),
+                local_vertices=tuple(vertices[lrow].tolist()),
+                global_vertices=tuple(paired.tolist()),
+                transform=RigidTransform2D(float(theta), t),
+                residual=float(residual),
+            )
+            for lrow, mrow, paired, theta, t, residual in zip(
+                self.local_rows,
+                self.map_rows,
+                self.paired,
+                self.thetas,
+                self.translations,
+                self.residuals,
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -344,17 +382,19 @@ def _weighted_procrustes(vl, vg, w):
 def _verify(vl, vg, seeds):
     """Minimize the summed pair residual, starting from the best seed.
 
-    Every seed (beta, x, y) is scored directly; the lowest by
-    (residual, beta, x, y) starts the solve, so seed order cannot change
-    the result.  The solve is Weiszfeld-style iteratively reweighted
-    least squares: each step is a Procrustes fit with weights 1/d_i from
-    the current pair distances, which never raises the summed distance
-    (Weiszfeld 1937).  The loop stops once a step lowers the residual by
-    less than _IRLS_RTOL of its value.  The refined pose replaces the
-    best seed only if its residual is lower.  Returns (beta, x, y,
-    residual).
+    Every seed (beta, x, y), a row of seeds, is scored directly in one
+    broadcast call; the lowest by (residual, beta, x, y) starts the
+    solve, so seed order cannot change the result.  The solve is
+    Weiszfeld-style iteratively reweighted least squares: each step is a
+    Procrustes fit with weights 1/d_i from the current pair distances,
+    which never raises the summed distance (Weiszfeld 1937).  The loop
+    stops once a step lowers the residual by less than _IRLS_RTOL of its
+    value.  The refined pose replaces the best seed only if its residual
+    is lower.  Returns (beta, x, y, residual).
     """
-    best = min((_residual(seed, vl, vg),) + tuple(seed) for seed in seeds)
+    scores = _pair_distances(seeds[:, :1], seeds[:, 1:2], seeds[:, 2:], vl, vg).sum(axis=1)
+    first = np.lexsort((seeds[:, 2], seeds[:, 1], seeds[:, 0], scores))[0]
+    best = (float(scores[first]), *seeds[first])
     refined = best
     d = _pair_distances(*best[1:], vl, vg)
     for _ in range(_IRLS_MAX_ITER):
@@ -422,17 +462,14 @@ def localize(
             "verification": t_verify - t_match,
             "total": t_verify - t_start,
         },
-        correspondences=tuple(
-            Correspondence(
-                star_local=graph_local.star(lrow[i]),
-                star_global=graph_map.star(mrow[i]),
-                local_vertices=tuple(local.vertices[lrow[i]].tolist()),
-                global_vertices=tuple(paired[i].tolist()),
-                transform=RigidTransform2D(float(theta[i]), t[i]),
-                residual=float(residual[i]),
-            )
-            for i in accepted
-        ),
+        graph_local=graph_local,
+        graph_map=graph_map,
+        local_rows=lrow[accepted],
+        map_rows=mrow[accepted],
+        paired=paired[accepted],
+        thetas=theta[accepted],
+        translations=t[accepted],
+        residuals=residual[accepted],
     )
 
 

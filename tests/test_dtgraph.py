@@ -138,6 +138,15 @@ def test_degenerate_duplicates():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(DegeneratePointSetError, match="degenerate point set"):
         triangulate(pts)
+    # a duplicate pair far apart in input order, and 0.0 / -0.0 as one coordinate
+    rng = np.random.default_rng(6)
+    far = rng.uniform(0, 50, (40, 2))
+    far[-1] = far[0]
+    signed = np.array([[0.0, 3.0], [5.0, 0.0], [4.0, 4.0], [-0.0, 3.0]])
+    for pts in (far, signed):
+        with pytest.raises(DegeneratePointSetError, match="degenerate point set"):
+            triangulate(pts)
+        triangulate(pts[:-1])
 
 
 def test_euler_formula():

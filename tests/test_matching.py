@@ -22,11 +22,14 @@ from forestloc.errors import (
     NoOverlapError,
     SizeCapError,
 )
-from forestloc.geometry import RigidTransform2D, normalize_angle
+from forestloc.geometry import TWO_PI, RigidTransform2D, normalize_angle
 from forestloc.matching import (
     _MAX_CANDIDATES_PER_STAR,
     MatchParams,
     _candidates,
+    _residual,
+    _stack_pairs,
+    _verify,
     brute_force_match_oracle,
     correspond_vertices,
     dissimilarity,
@@ -388,6 +391,77 @@ def test_accepted_fits_match_single_pair_path(noise):
     assert checked >= 40
 
 
+def star_fields(star):
+    return (
+        star.center,
+        star.neighbors,
+        star.features.tobytes(),
+        star.center_vertices,
+        star.apex_vertices,
+        star.opposite_corners,
+    )
+
+
+def test_correspondences_built_on_first_read(monkeypatch):
+    """localize keeps the accepted rows; their records are made when first read."""
+    g_map, g_loc, _ = make_instance(40, n=120, extent=90.0, window=50.0, noise=0.03)
+    made = []
+    real = forestloc.matching.Correspondence
+
+    def spy(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(forestloc.matching, "Correspondence", spy)
+    res = localize(g_loc, g_map)
+    assert made == []
+    corrs = res.correspondences
+    assert res.correspondences is corrs
+    assert len(corrs) == len(made) == res.match_count >= 10
+    rows = zip(
+        res.local_rows, res.map_rows, res.paired, res.thetas, res.translations, res.residuals
+    )
+    for corr, (lrow, mrow, paired, theta, t, residual) in zip(corrs, rows, strict=True):
+        star_local, star_global = g_loc.interior_stars[lrow], g_map.interior_stars[mrow]
+        assert star_fields(corr.star_local) == star_fields(star_local)
+        assert star_fields(corr.star_global) == star_fields(star_global)
+        assert corr.local_vertices == star_local.vertex_ids()
+        assert corr.global_vertices == tuple(int(v) for v in paired)
+        assert corr.transform.theta == normalize_angle(float(theta))
+        assert corr.transform.t.tobytes() == t.tobytes()
+        assert corr.residual == float(residual)
+
+
+def verify_start_oracle(vl, vg, seeds):
+    """The seed verification starts from, by a plain loop: (residual, beta, x, y)."""
+    return min((_residual(seed, vl, vg),) + tuple(seed) for seed in seeds)
+
+
+def test_verify_seed_rule(monkeypatch):
+    """The lowest (residual, beta, x, y) seed starts the solve, in any seed order."""
+    g_map, g_loc, _ = make_instance(40, n=120, extent=90.0, window=50.0, noise=0.03)
+    corrs = localize(g_loc, g_map).correspondences
+    vl, vg = _stack_pairs(corrs, g_loc.points, g_map.points)
+    seeds = np.array([(c.transform.theta % TWO_PI, *c.transform.t) for c in corrs])
+    start = verify_start_oracle(vl, vg, seeds)
+    first = np.flatnonzero((seeds == start[1:]).all(axis=1))[0]
+    rng = np.random.default_rng(3)
+    orders = [
+        seeds,
+        seeds[rng.permutation(len(seeds))],
+        np.vstack([seeds, seeds[[first]]])[rng.permutation(len(seeds) + 1)],
+    ]
+    solved = {np.array(_verify(vl, vg, s)).tobytes() for s in orders}
+    assert len(solved) == 1
+    monkeypatch.setattr(forestloc.matching, "_IRLS_MAX_ITER", 0)  # the start, unsolved
+    for s in orders:
+        beta, x, y, residual = _verify(vl, vg, s)
+        assert np.array([residual, beta, x, y]).tobytes() == np.array(start).tobytes()
+    # every rotation of a local point at the origin leaves it 5 m from (3, 4)
+    tied = np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.5, 0.0, 0.0]])
+    assert _verify(np.zeros((1, 2)), np.array([[3.0, 4.0]]), tied) == (1.0, 0.0, 0.0, 5.0)
+
+
 def test_localize_edge_lengths_preserved():
     """Accepted noise-free matches preserve all star edge lengths."""
     g_map, g_loc, _ = make_instance(20)
@@ -534,12 +608,16 @@ def localize_recording_candidates(monkeypatch, g_loc, g_map, params):
 SMALL_INSTANCES = [dict(seed=seed) for seed in (31, 32, 33)]
 # 239 local and 637 map stars: at 0.05 the search crosses three 64-star chunk boundaries
 WITH_WIDE_WINDOW = SMALL_INSTANCES + [dict(seed=31, n=400, extent=120.0, window=80.0)]
+# 79 local and 2,186 map stars: the star index has 32 leaves of up to 128 stars
+LARGE_MAP = [dict(seed=35, n=1200, extent=200.0, window=50.0)]
 
 
 @pytest.mark.parametrize(
     "tolerance, instances",
     [
-        pytest.param(0.05, WITH_WIDE_WINDOW, id="0.05"),
+        pytest.param(0.05, WITH_WIDE_WINDOW + LARGE_MAP, id="0.05"),
+        pytest.param(0.2, LARGE_MAP, id="0.2"),
+        pytest.param(0.3, LARGE_MAP, id="0.3"),
         pytest.param(0.8, SMALL_INSTANCES, id="0.8"),
         pytest.param(1.0, SMALL_INSTANCES, id="1.0"),
         pytest.param(1.5, WITH_WIDE_WINDOW, id="1.5"),
