@@ -234,9 +234,11 @@ class DTGraph:
         Leaves hold _STAR_INDEX_LEAF_SIZE (128) stars, not cKDTree's 16.
         In 8-D a tree with 16-star leaves is deep, and the matcher's ball
         queries spend their time walking its nodes.  On an 8,750-trunk map
-        (2-core VM) the tolerance-0.05 search took 6.0 ms per 175-trunk
-        window at 16 and 3.7-3.9 ms at 128-1024, with the same hits at
-        every size.
+        (2-core VM, 175-trunk windows) the candidate search at tolerance
+        0.3, where most local stars need a ball query, took 120 ms per
+        window at 16, 84 at 64 and 73 at 128.  At 0.05 one k-nearest query
+        serves every local star, and leaf size matters less: 0.7-0.9 ms at
+        16 and 0.9-1.2 ms at 128, one-tenth of a query.
         """
         return cKDTree(log_star_features(self.star_features), leafsize=_STAR_INDEX_LEAF_SIZE)
 

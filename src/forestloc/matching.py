@@ -1,20 +1,22 @@
 """Matching a local triangulation against the global map.
 
 The pipeline per local star: find global stars with componentwise-similar
-feature vectors (the map's log-feature kd-tree narrows the search, an
-exact relative-tolerance test decides, a chunk of local stars at a time),
-pair up the 6 star vertices (the most-similar center edge fixes a
-rotation of the CCW corner order, and the neighbor apexes follow the
-shared edges), and fit a rigid transform per candidate from the
-centered-vector rotation candidates.  One call pairs and fits every
-candidate, and matches stay rows of aligned arrays through verification
-and into the result; its Correspondence records are built on the first
-read of LocalizationResult.correspondences.  Verification scores every
-surviving candidate transform (plus their componentwise median) on the
-summed pair residual of all matched vertices in one call and polishes
-the best one by iteratively reweighted least squares, each step a
-closed-form weighted Procrustes fit.  The returned transform maps local
-coordinates into the global frame.
+feature vectors (the map's log-feature kd-tree narrows the search, in one
+bounded k-nearest query for all local stars plus ball queries for those
+with more hits than it returns, and an exact relative-tolerance test
+decides), pair up the 6 star vertices (the most-similar center edge
+fixes a rotation of the CCW corner order, and the neighbor apexes follow
+the shared edges), and fit a rigid transform per candidate and tied
+rotation from the centered-vector rotation candidates.  One call pairs
+and fits every candidate, and matches stay rows of aligned arrays
+through verification and into the result; its Correspondence records are
+built on the first read of LocalizationResult.correspondences.
+Verification scores every surviving candidate transform (plus their
+componentwise median) on the summed pair residual of all matched
+vertices in one call and polishes the best one by iteratively
+reweighted least squares, each step a closed-form weighted Procrustes
+fit.  The returned transform maps local coordinates into the global
+frame.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ _IRLS_MIN_DIST = 1e-12  # meters: floor under 1/d so exact pairs keep a finite w
 # Star-index search pad: relative on the tolerance and absolute on the
 # log-space radius, far above the rounding of either test.
 _INDEX_PAD = 1e-9
-_INDEX_CHUNK = 64  # local stars searched together while the tolerance is below 0.25
+_KNN_HITS = 16  # neighbours the first star-index pass finds per local star
+_INDEX_CHUNK = 64  # overflowing local stars searched together below tolerance 0.25
 _MAX_CANDIDATES_PER_STAR = 8  # cap per local star, by ascending deviation
 # Center-edge pairings within this (m) of the best length difference count
 # as tied and are all evaluated.
@@ -162,33 +165,57 @@ def dissimilarity(d1: TriangleDescriptor, d2: TriangleDescriptor) -> float:
     return abs(d2.area - d1.area) + abs(d2.sq_perimeter - d1.sq_perimeter)
 
 
+def _index_hits(graph_local: DTGraph, graph_map: DTGraph, tolerance: float):
+    """Blocks of (local row, map row) arrays that hold every passing pair.
+
+    For tol < 1, |g - f| <= tol * f puts every log feature of g within
+    -log1p(-tol) of f's (the wider side of the band), so padded by
+    _INDEX_PAD the star index finds every passing star.  One bounded
+    _KNN_HITS-nearest query covers all local stars; a star whose last
+    neighbour is within the radius may have more, and only those stars go
+    through ball queries.  Their hit lists grow long from tolerance 0.25
+    on, so they are then searched one at a time.  From tolerance 1 on
+    every map star is a hit.  A local star's hits all lie in one block.
+    """
+    local, n_map = graph_local.star_features, len(graph_map.star_features)
+    padded = tolerance * (1.0 + _INDEX_PAD)
+    if padded >= 1.0:
+        for row in range(len(local)):
+            yield np.full(n_map, row), np.arange(n_map)
+        return
+    k = min(_KNN_HITS, n_map)
+    if k == 0:
+        return
+    radius = _INDEX_PAD - math.log1p(-padded)
+    keys = log_star_features(local)
+    _, nearest = graph_map.star_index.query(
+        keys, k=k, p=np.inf, distance_upper_bound=np.nextafter(radius, np.inf)
+    )
+    nearest = nearest.reshape(len(keys), k)
+    hit = nearest < n_map
+    overflow = np.flatnonzero(hit[:, -1])
+    hit[overflow] = False
+    lrow, col = np.nonzero(hit)
+    yield lrow, nearest[lrow, col]
+    chunk = _INDEX_CHUNK if padded < 0.25 else 1
+    for start in range(0, len(overflow), chunk):
+        rows = overflow[start : start + chunk]
+        hits = graph_map.star_index.query_ball_point(keys[rows], radius, p=np.inf)
+        yield np.repeat(rows, [len(h) for h in hits]), np.concatenate(hits).astype(np.intp)
+
+
 def _candidates(graph_local: DTGraph, graph_map: DTGraph, tolerance: float):
     """Every candidate (local star row, map star row) pair, as a (2, K) array.
 
     A map star passes when no feature deviates from the local star's by
     more than tolerance times the local value; each local star keeps its
     _MAX_CANDIDATES_PER_STAR passing stars of least summed deviation, ties
-    to the lower row, in local row order.  For tol < 1, |g - f| <= tol * f
-    puts every log feature of g within -log1p(-tol) of f's (the wider side
-    of the band), so padded by _INDEX_PAD the star index finds every
-    passing star.  From tolerance 0.25 on, hit lists grow long (every map
-    star is a hit from 1 on), so local stars are searched one at a time.
+    to the lower row, in local row order.  The star index narrows the
+    search (see _index_hits) and the exact test decides.
     """
     local, table = graph_local.star_features, graph_map.star_features
-    padded = tolerance * (1.0 + _INDEX_PAD)
-    chunk = _INDEX_CHUNK if padded < 0.25 else 1
     pairs = [np.zeros((2, 0), dtype=np.intp)]
-    for start in range(0, len(local), chunk):
-        rows = np.arange(start, min(start + chunk, len(local)))
-        if padded < 1.0:
-            radius = _INDEX_PAD - math.log1p(-padded)
-            hits = graph_map.star_index.query_ball_point(
-                log_star_features(local[rows]), radius, p=np.inf
-            )
-        else:
-            hits = [np.arange(len(table))]
-        lrow = np.repeat(rows, [len(h) for h in hits])
-        mrow = np.concatenate(hits).astype(np.intp)
+    for lrow, mrow in _index_hits(graph_local, graph_map, tolerance):
         f = local[lrow]
         rel = np.abs(table[mrow] - f) / f
         ok = np.flatnonzero((rel <= tolerance).all(axis=1))
@@ -196,7 +223,8 @@ def _candidates(graph_local: DTGraph, graph_map: DTGraph, tolerance: float):
         rank = np.arange(len(ok)) - np.searchsorted(lrow[ok], lrow[ok])
         ok = ok[rank < _MAX_CANDIDATES_PER_STAR]
         pairs.append(np.stack([lrow[ok], mrow[ok]]))
-    return np.hstack(pairs)
+    pairs = np.hstack(pairs)
+    return pairs[:, np.argsort(pairs[0], kind="stable")]
 
 
 def _wrap(theta):
@@ -244,11 +272,13 @@ def _pair_and_fit(local_ids, global_ids, points_local, points_global):
     corners.  Both center triangles are CCW, so rotations are the only
     pairings that are not reflections.  Center-edge pairs tied within
     _EDGE_TIE_TOLERANCE of the best length difference add their rotations.
-    One rotation is taken as is; of several, the lowest fit residual wins,
-    and a tie within 1e-6 makes the pair ambiguous.
+    Only those rotations are fitted.  One rotation is taken as is; of
+    several, the lowest fit residual wins, and a tie within 1e-6 makes the
+    pair ambiguous.
 
     Returns (paired global ids (K, 6), thetas, translations, residuals,
-    ambiguous flags); a residual of inf marks a pair with no fit.
+    ambiguous flags); a residual of inf marks a pair with no fit, whose
+    theta and translation mean nothing.
     """
     pl = points_local[local_ids[:, :3]]
     pg = points_global[global_ids[:, :3]]
@@ -261,16 +291,17 @@ def _pair_and_fit(local_ids, global_ids, points_local, points_global):
     rotations = tied[:, np.arange(3), _ROTATIONS[:, :3]].any(axis=2)
     paired = global_ids[:, _ROTATIONS]
     k = len(local_ids)
-    theta, t, residual = _fit(
-        np.repeat(points_local[local_ids], 3, axis=0),
-        points_global[paired.reshape(-1, 6)],
+    cand, rot = np.nonzero(rotations)
+    theta, t = np.full((k, 3), np.nan), np.full((k, 3, 2), np.nan)
+    residual = np.full((k, 3), np.inf)
+    theta[cand, rot], t[cand, rot], residual[cand, rot] = _fit(
+        points_local[local_ids[cand]], points_global[paired[cand, rot]]
     )
-    residual = np.where(rotations, residual.reshape(k, 3), np.inf)
     ranked = np.sort(residual, axis=1)
     ambiguous = (rotations.sum(axis=1) > 1) & (ranked[:, 1] - ranked[:, 0] <= 1e-6)
     pick = np.argmin(residual, axis=1)
-    rows = 3 * np.arange(k) + pick
-    return paired[np.arange(k), pick], theta[rows], t[rows], ranked[:, 0], ambiguous
+    rows = np.arange(k)
+    return paired[rows, pick], theta[rows, pick], t[rows, pick], ranked[:, 0], ambiguous
 
 
 def correspond_vertices(

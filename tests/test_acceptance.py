@@ -8,8 +8,10 @@ dissimilarity invariants, timing budgets, and extraction accuracy.
 
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from forestloc.dtgraph import TriangleDescriptor, triangulate
 from forestloc.errors import ForestLocError
@@ -200,8 +202,8 @@ def test_matches_reference_matcher():
     )
 
 
-def circumcircle_violations(graph, rel_tol=1e-9) -> int:
-    """O(T*V) count of vertices strictly inside some circumcircle."""
+def circumcircles(graph):
+    """Circumcenters (T, 2) and squared circumradii (T,) of graph's triangles."""
     pts = graph.points
     tri = graph.triangles
     a, b, c = pts[tri[:, 0]], pts[tri[:, 1]], pts[tri[:, 2]]
@@ -216,14 +218,70 @@ def circumcircle_violations(graph, rel_tol=1e-9) -> int:
     ux = (a2 * (b[:, 1] - c[:, 1]) + b2 * (c[:, 1] - a[:, 1]) + c2 * (a[:, 1] - b[:, 1])) / d
     uy = (a2 * (c[:, 0] - b[:, 0]) + b2 * (a[:, 0] - c[:, 0]) + c2 * (b[:, 0] - a[:, 0])) / d
     r2 = (a[:, 0] - ux) ** 2 + (a[:, 1] - uy) ** 2
+    return np.column_stack([ux, uy]), r2
+
+
+def circumcircle_violations_scan(graph, rel_tol=1e-9) -> int:
+    """O(T*V) count of vertices strictly inside some circumcircle."""
+    pts = graph.points
+    tri = graph.triangles
+    centers, r2 = circumcircles(graph)
     total = 0
     for lo in range(0, len(tri), 512):
         hi = min(lo + 512, len(tri))
-        centers = np.stack([ux[lo:hi], uy[lo:hi]], axis=1)
-        d2 = ((pts[None, :, :] - centers[:, None, :]) ** 2).sum(-1)
+        d2 = ((pts[None, :, :] - centers[lo:hi, None, :]) ** 2).sum(-1)
         d2[np.arange(hi - lo)[:, None], tri[lo:hi]] = np.inf
         total += int((d2 < r2[lo:hi, None] * (1.0 - rel_tol)).sum())
     return total
+
+
+def circumcircle_violations(graph, rel_tol=1e-9) -> int:
+    """The count of circumcircle_violations_scan, checking only nearby vertices.
+
+    A vertex that passes the strict test lies within the circumradius, so
+    a kd-tree ball padded far beyond rounding holds every such vertex; the
+    test itself is the scan's, on the same arithmetic.
+    """
+    pts = graph.points
+    centers, r2 = circumcircles(graph)
+    hits = cKDTree(pts).query_ball_point(centers, np.sqrt(r2) * (1.0 + 1e-6))
+    tri = np.repeat(np.arange(len(centers)), [len(h) for h in hits])
+    vertex = np.concatenate(hits).astype(np.intp)
+    own = (graph.triangles[tri] == vertex[:, None]).any(axis=1)
+    d2 = ((pts[vertex] - centers[tri]) ** 2).sum(-1)
+    return int(((d2 < r2[tri] * (1.0 - rel_tol)) & ~own).sum())
+
+
+def flip_one_edge(graph):
+    """graph's points and triangles with one interior edge of a convex quad flipped."""
+    p, tri = graph.points, graph.triangles
+
+    def side(x, y, z):
+        (ux, uy), (vx, vy) = p[y] - p[x], p[z] - p[x]
+        return np.sign(ux * vy - uy * vx)
+
+    for t, k in zip(*np.nonzero(graph.neighbors >= 0)):
+        a, b = np.delete(tri[t], k)
+        c = tri[t, k]
+        u = graph.neighbors[t, k]
+        d = next(v for v in tri[u] if v not in (a, b))
+        if side(c, d, a) * side(c, d, b) < 0:  # a and b on either side of cd
+            flipped = tri.copy()
+            flipped[t], flipped[u] = (c, a, d), (c, d, b)
+            return SimpleNamespace(points=p, triangles=flipped)
+    raise AssertionError("no interior edge of a convex quad")
+
+
+def test_circumcircle_oracles_agree():
+    """The kd-tree count equals the O(T*V) scan, on Delaunay sets and with
+    one edge flipped: each end of the old edge then lies inside the
+    circumcircle of the new triangle without it."""
+    rng = np.random.default_rng(601)
+    for n in (10, 300, 2500):
+        graph = triangulate(rng.uniform(0.0, 1000.0, (n, 2)))
+        assert circumcircle_violations(graph) == circumcircle_violations_scan(graph) == 0
+        flipped = flip_one_edge(graph)
+        assert circumcircle_violations(flipped) == circumcircle_violations_scan(flipped) >= 2
 
 
 def test_triangulation_circumcircle_property():

@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from forestloc.dtgraph import (
 from forestloc.errors import (
     AmbiguousCorrespondenceError,
     DegeneratePointSetError,
+    DegenerateStarError,
     ForestLocError,
     InsufficientMatchesError,
     NoOverlapError,
@@ -24,9 +26,14 @@ from forestloc.errors import (
 )
 from forestloc.geometry import TWO_PI, RigidTransform2D, normalize_angle
 from forestloc.matching import (
+    _EDGE_TIE_TOLERANCE,
+    _KNN_HITS,
     _MAX_CANDIDATES_PER_STAR,
+    Correspondence,
     MatchParams,
     _candidates,
+    _fit,
+    _pair_and_fit,
     _residual,
     _stack_pairs,
     _verify,
@@ -288,6 +295,129 @@ def test_lattice_rotations_tie():
     with pytest.raises(InsufficientMatchesError) as ei:
         localize(triangulate(window), g)
     assert ei.value.match_count == 0
+
+
+def pair_and_fit_reference(local_ids, global_ids, points_local, points_global):
+    """_pair_and_fit's outputs, one candidate row and one rotation at a time.
+
+    Every rotation of the corner order is fitted by estimate_transform;
+    rotations whose center-edge pairs are not tied with the best length
+    difference then count as unfitted.
+    """
+    out = []
+    for lids, gids in zip(local_ids.tolist(), global_ids.tolist()):
+        corners = [[1, 2], [2, 0], [0, 1]]  # the edge opposite corner j
+        le = [np.linalg.norm(np.subtract(*points_local[[lids[a] for a in e]])) for e in corners]
+        ge = [np.linalg.norm(np.subtract(*points_global[[gids[a] for a in e]])) for e in corners]
+        diff = {(j, k): abs(le[j] - ge[k]) for j in range(3) for k in range(3)}
+        best = min(diff.values())
+        tied = {(k - j) % 3 for (j, k), d in diff.items() if d <= best + _EDGE_TIE_TOLERANCE}
+        fits = []
+        for o in range(3):
+            paired = [gids[(c + o) % 3 + apex] for apex in (0, 3) for c in range(3)]
+            corr = Correspondence(None, None, tuple(lids), tuple(paired))
+            try:
+                est = estimate_transform(corr, points_local, points_global)
+                residual, theta, t = est.residual, est.transform.theta, est.transform.t
+            except DegenerateStarError:
+                residual, theta, t = math.inf, math.nan, np.full(2, math.nan)
+            fits.append((residual if o in tied else math.inf, o, paired, theta, t))
+        ranked = sorted(fits, key=lambda fit: fit[:2])
+        ambiguous = len(tied) > 1 and ranked[1][0] - ranked[0][0] <= 1e-6
+        out.append((ranked[0][2], ranked[0][3], ranked[0][4], ranked[0][0], ambiguous))
+    return [np.array(column) for column in zip(*out)]
+
+
+def lattice_candidate_rows():
+    """Lattice stars paired with themselves, their re-indexed twins and shifted rows."""
+    pts = triangular_lattice()
+    perm = np.random.default_rng(0).permutation(len(pts))
+    g, g2 = triangulate(pts), triangulate(pts[perm])
+    rows = g.star_table.vertices
+    twin_rows = {frozenset(perm[v[:3]]): v for v in g2.star_table.vertices}
+    twins = np.array([twin_rows[frozenset(v[:3].tolist())] for v in rows])
+    return [
+        (rows, rows, g.points, g.points),
+        (rows, twins, g.points, g2.points),
+        (rows, np.roll(rows, 5, axis=0), g.points, g.points),
+    ]
+
+
+def noisy_candidate_rows():
+    out = []
+    for seed in (40, 41):
+        g_map, g_loc, _ = make_instance(seed, n=400, extent=120.0, window=80.0, noise=0.03)
+        lrow, mrow = _candidates(g_loc, g_map, 0.3)  # true and false matches
+        vertices = (g_loc.star_table.vertices[lrow], g_map.star_table.vertices[mrow])
+        out.append((*vertices, g_loc.points, g_map.points))
+    return out
+
+
+@pytest.mark.parametrize(
+    "cases, min_ambiguous",
+    [
+        pytest.param(noisy_candidate_rows, 0, id="noisy"),
+        pytest.param(lattice_candidate_rows, 100, id="lattice"),
+    ],
+)
+def test_pair_and_fit_matches_per_rotation_fits(cases, min_ambiguous):
+    """Fitting only the tied rotations gives what fitting all three gives."""
+    ambiguous = fitted = 0
+    for local_ids, global_ids, points_local, points_global in cases():
+        got = _pair_and_fit(local_ids, global_ids, points_local, points_global)
+        want = pair_and_fit_reference(local_ids, global_ids, points_local, points_global)
+        paired, theta, t, residual, flags = got
+        np.testing.assert_array_equal(paired, want[0])
+        np.testing.assert_array_equal([normalize_angle(float(a)) for a in theta], want[1])
+        np.testing.assert_array_equal(t, want[2])
+        np.testing.assert_array_equal(residual, want[3])
+        np.testing.assert_array_equal(flags, want[4])
+        ambiguous += int(flags.sum())
+        fitted += len(flags)
+    assert fitted >= 100
+    assert ambiguous >= min_ambiguous
+
+
+def rotation_fit_error(u, w, angles):
+    """Summed |R(angle) u_i - w_i| per row of centered pairings, for (N, M) angles."""
+    c, s = np.cos(angles)[..., None], np.sin(angles)[..., None]
+    rx = u[:, None, :, 0] * c - u[:, None, :, 1] * s - w[:, None, :, 0]
+    ry = u[:, None, :, 0] * s + u[:, None, :, 1] * c - w[:, None, :, 1]
+    return np.hypot(rx, ry).sum(axis=2)
+
+
+def test_fit_takes_best_candidate_rotation():
+    """_fit turns by the candidate angle of least rotation-fit error.
+
+    Each of 100 noisy 6-vertex pairings has 6 candidate angles, one per
+    vertex.  The chosen angle fits no worse than any of them, and a dense
+    scan of all angles (4,096 steps, then 2,001 around the best) finds
+    that the chosen angles lie within 2% of the best rotation in sum; the
+    second-best candidates lie 3% above it.  The translation maps the
+    rotated local centroid onto the global one, and the residual is the
+    summed pair distance.
+    """
+    rng = np.random.default_rng(9)
+    vl = rng.uniform(-6.0, 6.0, (100, 6, 2))
+    poses = [RigidTransform2D(rng.uniform(-math.pi, math.pi), rng.uniform(-50, 50, 2)) for _ in vl]
+    vg = np.array([pose.apply(v) for pose, v in zip(poses, vl)])
+    vg += rng.normal(0.0, 0.05, vg.shape)
+    theta, t, residual = _fit(vl, vg)
+    cl, cg = vl.mean(axis=1, keepdims=True), vg.mean(axis=1, keepdims=True)
+    u, w = vl - cl, vg - cg
+    error = rotation_fit_error(u, w, theta[:, None])[:, 0]
+    candidates = np.arctan2(u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0], (u * w).sum(axis=2))
+    assert (error <= rotation_fit_error(u, w, candidates).min(axis=1) * (1 + 1e-12)).all()
+    steps = np.linspace(-math.pi, math.pi, 4096, endpoint=False)
+    coarse = steps[np.argmin(rotation_fit_error(u, w, np.tile(steps, (len(vl), 1))), axis=1)]
+    fine = coarse[:, None] + np.linspace(-2e-3, 2e-3, 2001)
+    scan = rotation_fit_error(u, w, fine).min(axis=1)
+    assert (error >= scan * (1 - 1e-9)).all()
+    assert error.sum() <= 1.02 * scan.sum()
+    rotated = np.array([RigidTransform2D(a, np.zeros(2)).apply(c) for a, c in zip(theta, cl)])
+    np.testing.assert_allclose(t, cg[:, 0] - rotated[:, 0], rtol=0, atol=1e-9)
+    moved = np.array([RigidTransform2D(a, b).apply(v) for a, b, v in zip(theta, t, vl)])
+    np.testing.assert_allclose(residual, np.hypot(*(moved - vg).T).sum(axis=0), rtol=1e-12)
 
 
 def test_verification_residual_matches_definition():
@@ -605,31 +735,105 @@ def localize_recording_candidates(monkeypatch, g_loc, g_map, params):
     return outcome, [centers[mrow[lrow == row]].tolist() for row in range(n_local)]
 
 
-SMALL_INSTANCES = [dict(seed=seed) for seed in (31, 32, 33)]
-# 239 local and 637 map stars: at 0.05 the search crosses three 64-star chunk boundaries
-WITH_WIDE_WINDOW = SMALL_INSTANCES + [dict(seed=31, n=400, extent=120.0, window=80.0)]
+def make_grid_instance(seed, stand=0, n=12, spacing=4.0, noise=0.02):
+    """A jittered plantation grid, natural trees beside it, and a noisy moved window.
+
+    The grid is n x n trees at spacing (m) with 2 cm jitter; stand trees
+    fill a square of the grid's size east of it.  The window spans the
+    grid's inner rows, and with a stand it reaches from the grid's middle
+    into the stand.
+    """
+    rng = np.random.default_rng(seed)
+    ij = np.stack(np.meshgrid(np.arange(n), np.arange(n)), axis=-1).reshape(-1, 2)
+    side = spacing * (n - 1)
+    pts = np.vstack(
+        [
+            spacing * ij + rng.normal(0.0, 0.02, ij.shape),
+            rng.uniform([side + spacing, 0.0], [2.0 * side, side], (stand, 2)),
+        ]
+    )
+    lo = np.array([side / 2.0 if stand else spacing, spacing])
+    hi = np.array([1.5 * side if stand else side - spacing, side - spacing])
+    window = pts[((pts >= lo) & (pts <= hi)).all(axis=1)]
+    T = RigidTransform2D(rng.uniform(-math.pi, math.pi), rng.uniform(-100, 100, 2))
+    local = T.inverse().apply(window) + rng.normal(0.0, noise, window.shape)
+    return triangulate(pts), triangulate(local), T
+
+
+SMALL_INSTANCES = [partial(make_instance, seed, noise=0.02) for seed in (31, 32, 33)]
+# 239 local and 637 map stars
+WITH_WIDE_WINDOW = SMALL_INSTANCES + [
+    partial(make_instance, 31, n=400, extent=120.0, window=80.0, noise=0.02)
+]
 # 79 local and 2,186 map stars: the star index has 32 leaves of up to 128 stars
-LARGE_MAP = [dict(seed=35, n=1200, extent=200.0, window=50.0)]
+LARGE_MAP = [partial(make_instance, 35, n=1200, extent=200.0, window=50.0, noise=0.02)]
+# 89 local and 203 map stars; most local stars pass more than _KNN_HITS
+# map stars, so their search crosses a 64-star chunk boundary
+GRID = [partial(make_grid_instance, 1)]
+# 111 local and 401 map stars: grid stars pass more than _KNN_HITS map
+# stars, stand stars fewer
+GRID_AND_STAND = [partial(make_grid_instance, 1, stand=120)]
+
+
+def test_grid_instances_overflow_nearest_hits():
+    """The grid instances hold local stars with more passing map stars than
+    the first star-index pass returns, and the mixed one also holds stars
+    with fewer."""
+    for make, low, high in ((GRID[0], 0.9, 1.0), (GRID_AND_STAND[0], 0.2, 0.8)):
+        g_map, g_loc, _ = make()
+        table = g_map.star_features
+        passing = [(np.abs(table - f) / f <= 0.05).all(axis=1).sum() for f in g_loc.star_features]
+        assert low <= np.mean(np.array(passing) > _KNN_HITS) <= high
 
 
 @pytest.mark.parametrize(
     "tolerance, instances",
     [
-        pytest.param(0.05, WITH_WIDE_WINDOW + LARGE_MAP, id="0.05"),
-        pytest.param(0.2, LARGE_MAP, id="0.2"),
+        pytest.param(0.05, WITH_WIDE_WINDOW + LARGE_MAP + GRID + GRID_AND_STAND, id="0.05"),
+        pytest.param(0.2, LARGE_MAP + GRID + GRID_AND_STAND, id="0.2"),
         pytest.param(0.3, LARGE_MAP, id="0.3"),
-        pytest.param(0.8, SMALL_INSTANCES, id="0.8"),
+        pytest.param(0.5, GRID + GRID_AND_STAND, id="0.5"),
+        pytest.param(0.8, SMALL_INSTANCES + GRID, id="0.8"),
         pytest.param(1.0, SMALL_INSTANCES, id="1.0"),
-        pytest.param(1.5, WITH_WIDE_WINDOW, id="1.5"),
+        pytest.param(1.5, WITH_WIDE_WINDOW + GRID, id="1.5"),
     ],
 )
 def test_candidates_match_linear_scan(monkeypatch, tolerance, instances):
     """The star index finds exactly the candidates a full scan finds."""
     params = MatchParams(feature_tolerance=tolerance)
-    for kwargs in instances:
-        g_map, g_loc, _ = make_instance(**kwargs, noise=0.02)
+    for make in instances:
+        g_map, g_loc, _ = make()
         _, got = localize_recording_candidates(monkeypatch, g_loc, g_map, params)
         assert got == linear_scan_candidates(g_loc, g_map, params)
+
+
+@pytest.mark.parametrize("tolerance", [0.05, 1.5])
+def test_maps_with_few_stars(monkeypatch, tolerance):
+    """A map without interior stars has no overlap; one with fewer stars
+    than the first star-index pass returns still matches a full scan."""
+    params = MatchParams(feature_tolerance=tolerance)
+    rng = np.random.default_rng(36)
+    g_loc = make_graph(36)
+    for n in (4, 8, 12):
+        angles = np.sort(rng.uniform(0.0, TWO_PI, n))
+        # convex position: every triangle has a hull edge, so no star is interior
+        g_map = triangulate(np.column_stack([30.0 * np.cos(angles), 20.0 * np.sin(angles)]))
+        assert len(g_map.interior_stars) == 0
+        with pytest.raises(NoOverlapError, match="no overlap"):
+            localize(g_loc, g_map, params)
+        with pytest.raises(NoOverlapError, match="no overlap"):
+            localize(g_map, g_loc, params)
+    sizes = []
+    for n in (18, 22, 26):
+        pts = rng.uniform(0.0, 40.0, (n, 2))
+        g_map = triangulate(pts)
+        T = RigidTransform2D(rng.uniform(-math.pi, math.pi), rng.uniform(-50, 50, 2))
+        g_loc = triangulate(T.apply(pts) + rng.normal(0.0, 0.01, pts.shape))
+        _, got = localize_recording_candidates(monkeypatch, g_loc, g_map, params)
+        assert got == linear_scan_candidates(g_loc, g_map, params)
+        assert any(got)
+        sizes.append(len(g_map.interior_stars))
+    assert 0 < min(sizes) and max(sizes) < _KNN_HITS
 
 
 def test_candidate_at_exact_tolerance_kept(monkeypatch):
