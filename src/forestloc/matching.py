@@ -3,11 +3,12 @@
 The pipeline per local star: find global stars with componentwise-similar
 feature vectors (the map's log-feature kd-tree narrows the search, in one
 bounded k-nearest query for all local stars plus ball queries for those
-with more hits than it returns, and an exact relative-tolerance test
-decides), pair up the 6 star vertices (the most-similar center edge
-fixes a rotation of the CCW corner order, and the neighbor apexes follow
-the shared edges), and fit a rigid transform per candidate and tied
-rotation from the centered-vector rotation candidates.  One call pairs
+with more hits than it returns, or from tolerance 0.25 on a ball query
+per star, and an exact relative-tolerance test decides), pair up the 6
+star vertices (the most-similar center edge fixes a rotation of the CCW
+corner order, and the neighbor apexes follow the shared edges), and fit
+a rigid transform per candidate and tied rotation from the
+centered-vector rotation candidates.  One call pairs
 and fits every candidate, and matches stay rows of aligned arrays
 through verification and into the result; its Correspondence records are
 built on the first read of LocalizationResult.correspondences.
@@ -15,8 +16,10 @@ Verification scores every surviving candidate transform (plus their
 componentwise median) on the summed pair residual of all matched
 vertices in one call and polishes the best one by iteratively
 reweighted least squares, each step a closed-form weighted Procrustes
-fit.  The returned transform maps local coordinates into the global
-frame.
+fit.  A vertex pair shared by several kept matches is summed once,
+weighted by how many of them hold it, which is the sum over every
+match's pairs.  The returned transform maps local coordinates into the
+global frame.
 """
 
 from __future__ import annotations
@@ -101,7 +104,9 @@ class LocalizationResult:
     """The pose of the local frame in the map frame, and how it was found.
 
     residual: summed pair distance under pose, over the vertex pairs of
-        the correspondences that the MAD filter keeps.
+        the correspondences that the MAD filter keeps; each distinct
+        (local, map) vertex pair counts once per kept correspondence
+        holding it, and is summed once with that multiplicity.
     candidate_count: tolerance-passing (local, map) star pairs tried.
     elapsed: seconds per stage, keyed "stars", "matching", "verification",
         and "total".
@@ -170,34 +175,38 @@ def _index_hits(graph_local: DTGraph, graph_map: DTGraph, tolerance: float):
 
     For tol < 1, |g - f| <= tol * f puts every log feature of g within
     -log1p(-tol) of f's (the wider side of the band), so padded by
-    _INDEX_PAD the star index finds every passing star.  One bounded
-    _KNN_HITS-nearest query covers all local stars; a star whose last
-    neighbour is within the radius may have more, and only those stars go
-    through ball queries.  Their hit lists grow long from tolerance 0.25
-    on, so they are then searched one at a time.  From tolerance 1 on
+    _INDEX_PAD the star index finds every passing star.  Below tolerance
+    0.25 one bounded _KNN_HITS-nearest query covers all local stars; a
+    star whose last neighbour is within the radius may have more, and
+    only those stars go through ball queries, _INDEX_CHUNK at a time.
+    From tolerance 0.25 on most stars hold more hits than that, so every
+    star goes straight to a ball query of its own.  From tolerance 1 on
     every map star is a hit.  A local star's hits all lie in one block.
     """
     local, n_map = graph_local.star_features, len(graph_map.star_features)
+    if n_map == 0:
+        return
     padded = tolerance * (1.0 + _INDEX_PAD)
     if padded >= 1.0:
         for row in range(len(local)):
             yield np.full(n_map, row), np.arange(n_map)
         return
-    k = min(_KNN_HITS, n_map)
-    if k == 0:
-        return
     radius = _INDEX_PAD - math.log1p(-padded)
     keys = log_star_features(local)
-    _, nearest = graph_map.star_index.query(
-        keys, k=k, p=np.inf, distance_upper_bound=np.nextafter(radius, np.inf)
-    )
-    nearest = nearest.reshape(len(keys), k)
-    hit = nearest < n_map
-    overflow = np.flatnonzero(hit[:, -1])
-    hit[overflow] = False
-    lrow, col = np.nonzero(hit)
-    yield lrow, nearest[lrow, col]
-    chunk = _INDEX_CHUNK if padded < 0.25 else 1
+    if padded < 0.25:
+        k = min(_KNN_HITS, n_map)
+        _, nearest = graph_map.star_index.query(
+            keys, k=k, p=np.inf, distance_upper_bound=np.nextafter(radius, np.inf)
+        )
+        nearest = nearest.reshape(len(keys), k)
+        hit = nearest < n_map
+        overflow = np.flatnonzero(hit[:, -1])
+        hit[overflow] = False
+        lrow, col = np.nonzero(hit)
+        yield lrow, nearest[lrow, col]
+        chunk = _INDEX_CHUNK
+    else:
+        overflow, chunk = np.arange(len(keys)), 1
     for start in range(0, len(overflow), chunk):
         rows = overflow[start : start + chunk]
         hits = graph_map.star_index.query_ball_point(keys[rows], radius, p=np.inf)
@@ -354,15 +363,36 @@ def verification_residual(
     points_local: np.ndarray,
     points_global: np.ndarray,
 ) -> float:
-    """Summed pair distance over every matched vertex pair."""
-    vl, vg = _stack_pairs(correspondences, points_local, points_global)
-    return _residual((transform.theta, *transform.t), vl, vg)
+    """Summed pair distance over every matched vertex pair (see _unique_pairs)."""
+    vl, vg, m = _unique_pairs(*_pair_ids(correspondences), points_local, points_global)
+    return _residual((transform.theta, *transform.t), vl, vg, m)
+
+
+def _pair_ids(correspondences):
+    """(local ids, global ids) of every vertex pair of the correspondences, in order."""
+    li = [i for corr in correspondences for i in corr.local_vertices]
+    gi = [i for corr in correspondences for i in corr.global_vertices]
+    return np.array(li, dtype=np.intp), np.array(gi, dtype=np.intp)
 
 
 def _stack_pairs(correspondences, points_local, points_global):
-    li = [i for corr in correspondences for i in corr.local_vertices]
-    gi = [i for corr in correspondences for i in corr.global_vertices]
+    li, gi = _pair_ids(correspondences)
     return points_local[li], points_global[gi]
+
+
+def _unique_pairs(local_ids, global_ids, points_local, points_global):
+    """The distinct (local id, global id) pairs as (vl, vg, multiplicities).
+
+    Pair i of the inputs pairs local_ids[i] with global_ids[i]; each
+    distinct pair comes back once, in (local id, global id) order, with
+    the number of times it occurs.  A local vertex paired with two global
+    vertices stays two pairs.  Summing m times the pair distance over
+    them equals summing the distance over the input pairs.
+    """
+    n_global = len(points_global)
+    keys = local_ids.astype(np.int64) * n_global + global_ids
+    keys, m = np.unique(keys, return_counts=True)
+    return points_local[keys // n_global], points_global[keys % n_global], m
 
 
 def _mad_filter(theta, t, residual):
@@ -391,9 +421,9 @@ def _pair_distances(theta, x, y, vl, vg) -> np.ndarray:
     return np.hypot(rx, ry)
 
 
-def _residual(pose, vl, vg) -> float:
-    """Summed pair distance under pose = (theta, x, y)."""
-    return float(_pair_distances(*pose, vl, vg).sum())
+def _residual(pose, vl, vg, m) -> float:
+    """Summed pair distance under pose = (theta, x, y), pair i counted m[i] times."""
+    return float((_pair_distances(*pose, vl, vg) * m).sum())
 
 
 def _weighted_procrustes(vl, vg, w):
@@ -410,28 +440,32 @@ def _weighted_procrustes(vl, vg, w):
     return theta, float(cg[0] - (c * cl[0] - s * cl[1])), float(cg[1] - (s * cl[0] + c * cl[1]))
 
 
-def _verify(vl, vg, seeds):
+def _verify(vl, vg, m, seeds):
     """Minimize the summed pair residual, starting from the best seed.
 
-    Every seed (beta, x, y), a row of seeds, is scored directly in one
-    broadcast call; the lowest by (residual, beta, x, y) starts the
-    solve, so seed order cannot change the result.  The solve is
-    Weiszfeld-style iteratively reweighted least squares: each step is a
-    Procrustes fit with weights 1/d_i from the current pair distances,
-    which never raises the summed distance (Weiszfeld 1937).  The loop
-    stops once a step lowers the residual by less than _IRLS_RTOL of its
-    value.  The refined pose replaces the best seed only if its residual
-    is lower.  Returns (beta, x, y, residual).
+    vl[i] pairs with vg[i], and the pair counts m[i] times: the residual
+    of a pose is the sum of m times the pair distances, so distinct
+    pairs with their multiplicities (see _unique_pairs) give the sum over
+    every matched pair.  Every seed (beta, x, y), a row of seeds, is
+    scored directly in one broadcast call; the lowest by (residual, beta,
+    x, y) starts the solve, so seed order cannot change the result.  The
+    solve is Weiszfeld-style iteratively reweighted least squares: each
+    step is a Procrustes fit with weights m_i/d_i from the current pair
+    distances, which never raises the residual (Weiszfeld 1937).  The
+    loop stops once a step lowers the residual by less than _IRLS_RTOL of
+    its value.  The refined pose replaces the best seed only if its
+    residual is lower.  Returns (beta, x, y, residual).
     """
-    scores = _pair_distances(seeds[:, :1], seeds[:, 1:2], seeds[:, 2:], vl, vg).sum(axis=1)
+    d = _pair_distances(seeds[:, :1], seeds[:, 1:2], seeds[:, 2:], vl, vg)
+    scores = (d * m).sum(axis=1)
     first = np.lexsort((seeds[:, 2], seeds[:, 1], seeds[:, 0], scores))[0]
     best = (float(scores[first]), *seeds[first])
     refined = best
-    d = _pair_distances(*best[1:], vl, vg)
+    d = d[first]
     for _ in range(_IRLS_MAX_ITER):
-        pose = _weighted_procrustes(vl, vg, 1.0 / np.maximum(d, _IRLS_MIN_DIST))
+        pose = _weighted_procrustes(vl, vg, m / np.maximum(d, _IRLS_MIN_DIST))
         d = _pair_distances(*pose, vl, vg)
-        step = (float(d.sum()),) + pose
+        step = (float((d * m).sum()),) + pose
         converged = refined[0] - step[0] <= _IRLS_RTOL * refined[0]
         refined = min(refined, step)
         if converged:
@@ -478,9 +512,9 @@ def localize(
     median = (thetas[0] + np.median(_wrap(thetas - thetas[0])), *np.median(ts, axis=0))
     seeds = np.vstack([np.column_stack([thetas, ts]), median])
     seeds[:, 0] = np.mod(seeds[:, 0], TWO_PI)
-    vl = graph_local.points[local.vertices[lrow[kept]].ravel()]
-    vg = graph_map.points[paired[kept].ravel()]
-    beta, x, y, residual_sum = _verify(vl, vg, seeds)
+    pair_ids = (local.vertices[lrow[kept]].ravel(), paired[kept].ravel())
+    vl, vg, m = _unique_pairs(*pair_ids, graph_local.points, graph_map.points)
+    beta, x, y, residual_sum = _verify(vl, vg, m, seeds)
     t_verify = time.perf_counter()
     return LocalizationResult(
         pose=RigidTransform2D(beta, np.array([x, y])),

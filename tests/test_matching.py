@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 from dataclasses import fields
 from functools import partial
 
@@ -27,15 +28,17 @@ from forestloc.errors import (
 from forestloc.geometry import TWO_PI, RigidTransform2D, normalize_angle
 from forestloc.matching import (
     _EDGE_TIE_TOLERANCE,
+    _IRLS_MAX_ITER,
     _KNN_HITS,
     _MAX_CANDIDATES_PER_STAR,
     Correspondence,
     MatchParams,
     _candidates,
     _fit,
+    _mad_filter,
     _pair_and_fit,
     _residual,
-    _stack_pairs,
+    _unique_pairs,
     _verify,
     brute_force_match_oracle,
     correspond_vertices,
@@ -44,6 +47,7 @@ from forestloc.matching import (
     localize,
     verification_residual,
 )
+from forestloc.simulator import ForestSpec, generate_forest
 
 UNIT_L = (2.0 + math.sqrt(2.0)) ** 2
 
@@ -562,18 +566,32 @@ def test_correspondences_built_on_first_read(monkeypatch):
         assert corr.residual == float(residual)
 
 
-def verify_start_oracle(vl, vg, seeds):
+def pair_counts(corrs):
+    """How often each (local id, map id) vertex pair occurs in corrs, by a plain count."""
+    return Counter(p for c in corrs for p in zip(c.local_vertices, c.global_vertices))
+
+
+def unique_pairs_oracle(corrs, points_local, points_map):
+    """The distinct vertex pairs of corrs in (local id, map id) order: (vl, vg, m)."""
+    counts = pair_counts(corrs)
+    ids = sorted(counts)
+    m = np.array([counts[p] for p in ids])
+    return points_local[[i for i, _ in ids]], points_map[[j for _, j in ids]], m
+
+
+def verify_start_oracle(vl, vg, m, seeds):
     """The seed verification starts from, by a plain loop: (residual, beta, x, y)."""
-    return min((_residual(seed, vl, vg),) + tuple(seed) for seed in seeds)
+    return min((_residual(seed, vl, vg, m),) + tuple(seed) for seed in seeds)
 
 
 def test_verify_seed_rule(monkeypatch):
     """The lowest (residual, beta, x, y) seed starts the solve, in any seed order."""
     g_map, g_loc, _ = make_instance(40, n=120, extent=90.0, window=50.0, noise=0.03)
     corrs = localize(g_loc, g_map).correspondences
-    vl, vg = _stack_pairs(corrs, g_loc.points, g_map.points)
+    vl, vg, m = unique_pairs_oracle(corrs, g_loc.points, g_map.points)
+    assert m.max() > 1
     seeds = np.array([(c.transform.theta % TWO_PI, *c.transform.t) for c in corrs])
-    start = verify_start_oracle(vl, vg, seeds)
+    start = verify_start_oracle(vl, vg, m, seeds)
     first = np.flatnonzero((seeds == start[1:]).all(axis=1))[0]
     rng = np.random.default_rng(3)
     orders = [
@@ -581,15 +599,17 @@ def test_verify_seed_rule(monkeypatch):
         seeds[rng.permutation(len(seeds))],
         np.vstack([seeds, seeds[[first]]])[rng.permutation(len(seeds) + 1)],
     ]
-    solved = {np.array(_verify(vl, vg, s)).tobytes() for s in orders}
+    solved = {np.array(_verify(vl, vg, m, s)).tobytes() for s in orders}
     assert len(solved) == 1
     monkeypatch.setattr(forestloc.matching, "_IRLS_MAX_ITER", 0)  # the start, unsolved
     for s in orders:
-        beta, x, y, residual = _verify(vl, vg, s)
+        beta, x, y, residual = _verify(vl, vg, m, s)
         assert np.array([residual, beta, x, y]).tobytes() == np.array(start).tobytes()
     # every rotation of a local point at the origin leaves it 5 m from (3, 4)
     tied = np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.5, 0.0, 0.0]])
-    assert _verify(np.zeros((1, 2)), np.array([[3.0, 4.0]]), tied) == (1.0, 0.0, 0.0, 5.0)
+    one = (np.zeros((1, 2)), np.array([[3.0, 4.0]]))
+    assert _verify(*one, np.array([1]), tied) == (1.0, 0.0, 0.0, 5.0)
+    assert _verify(*one, np.array([3]), tied) == (1.0, 0.0, 0.0, 15.0)
 
 
 def test_localize_edge_lengths_preserved():
@@ -894,3 +914,107 @@ def test_zero_area_triangle_in_loaded_graphs(monkeypatch, tmp_path, tolerance):
     assert got == linear_scan_candidates(g_loc, g_map, params)
     assert np.hypot(*(outcome.pose.t - truth.t)) < 1e-6
     assert abs(normalize_angle(outcome.pose.theta - truth.theta)) < 1e-9
+
+
+def kept_correspondences(res):
+    """The accepted correspondences the MAD filter keeps for verification."""
+    kept = _mad_filter(res.thetas, res.translations, res.residuals)
+    return [res.correspondences[i] for i in kept]
+
+
+def stacked_residual(pose, corrs, points_local, points_map):
+    """Summed pair distance under pose over every vertex pair of corrs, duplicates included."""
+    vl = points_local[[i for c in corrs for i in c.local_vertices]]
+    vg = points_map[[j for c in corrs for j in c.global_vertices]]
+    return float(np.hypot(*(pose.apply(vl) - vg).T).sum())
+
+
+@pytest.mark.parametrize(
+    "make",
+    [partial(make_instance, seed, n=120, extent=90.0, window=50.0, noise=0.03) for seed in (40, 41)]
+    + [partial(make_instance, 33, noise=0.02)]
+    + GRID,
+)
+def test_residual_sums_stacked_pairs(make):
+    """The reported residual is the sum over every kept match's vertex pairs.
+
+    Verification sums each distinct pair once with its multiplicity; that
+    equals summing the stacked pairs, shared ones once per match.
+    """
+    g_map, g_loc, _ = make()
+    res = localize(g_loc, g_map)
+    kept = kept_correspondences(res)
+    counts = pair_counts(kept)
+    assert sum(counts.values()) > len(counts)
+    want = stacked_residual(res.pose, kept, g_loc.points, g_map.points)
+    assert math.isclose(res.residual, want, rel_tol=1e-12)
+    got = verification_residual(res.pose, kept, g_loc.points, g_map.points)
+    assert math.isclose(got, want, rel_tol=1e-12)
+
+
+def test_local_vertex_with_two_map_partners_stays_two_pairs():
+    """A local vertex paired with different map vertices by two kept matches
+    gives two weighted pairs; pairs are merged only when both ids agree."""
+    g_map, g_loc, _ = GRID[0]()
+    res = localize(g_loc, g_map)
+    kept = kept_correspondences(res)
+    counts = pair_counts(kept)
+    partners = Counter(i for i, _ in counts)
+    assert max(partners.values()) > 1
+    li, gi = (
+        np.array([i for c in kept for i in getattr(c, side)])
+        for side in ("local_vertices", "global_vertices")
+    )
+    got = _unique_pairs(li, gi, g_loc.points, g_map.points)
+    for a, b in zip(got, unique_pairs_oracle(kept, g_loc.points, g_map.points), strict=True):
+        np.testing.assert_array_equal(a, b)
+    assert len(got[2]) == len(counts) > len(partners)
+    want = stacked_residual(res.pose, kept, g_loc.points, g_map.points)
+    assert math.isclose(res.residual, want, rel_tol=1e-12)
+
+
+def noisy_recovery_instance(seed):
+    """Trial seed of the acceptance noisy-recovery test: (map graph, local graph).
+
+    32-40 trunks nearest a random site of a 140 x 120 m stand, moved by a
+    random pose and given 5 cm of noise.
+    """
+    pts = generate_forest(
+        ForestSpec(area=(140.0, 120.0), density=200.0, seed=seed % 40)
+    ).to_trunk_map().positions
+    rng = np.random.default_rng(10_000 + seed)
+    c = rng.uniform([35.0, 35.0], [105.0, 85.0])
+    k = int(rng.integers(32, 41))
+    idx = np.argsort(np.linalg.norm(pts - c, axis=1))[:k]
+    theta = rng.uniform(-math.pi, math.pi)
+    mag, direction = rng.uniform(0.0, 100.0), rng.uniform(-math.pi, math.pi)
+    T = RigidTransform2D(theta, mag * np.array([math.cos(direction), math.sin(direction)]))
+    local = T.inverse().apply(pts[idx]) + rng.normal(0.0, 0.05, (k, 2))
+    return triangulate(pts), triangulate(local)
+
+
+def test_irls_stops_before_its_cap(monkeypatch):
+    """No verification solve on noisy instances runs into _IRLS_MAX_ITER.
+
+    Each step is one _weighted_procrustes call.  Trial 121 of the noisy
+    recovery test takes the most steps of its 200 (802).
+    """
+    steps = []
+    real = forestloc.matching._weighted_procrustes
+
+    def counting(*args):
+        steps[-1] += 1
+        return real(*args)
+
+    monkeypatch.setattr(forestloc.matching, "_weighted_procrustes", counting)
+    instances = [partial(noisy_recovery_instance, seed) for seed in (18, 112, 121, 161)]
+    instances += [
+        partial(make_instance, seed, n=120, extent=90.0, window=50.0, noise=0.03)
+        for seed in range(40, 46)
+    ]
+    for make in instances:
+        g_map, g_loc = make()[:2]
+        steps.append(0)
+        localize(g_loc, g_map)
+    assert 0 < min(steps) and max(steps) < _IRLS_MAX_ITER
+    assert max(steps) >= 300  # the slow trials are among them
