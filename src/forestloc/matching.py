@@ -19,11 +19,15 @@ reweighted least squares, each step a closed-form weighted Procrustes
 fit.  A vertex pair shared by several kept matches is summed once,
 weighted by how many of them hold it, which is the sum over every
 match's pairs.  The returned transform maps local coordinates into the
-global frame.
+global frame.  The fit and verification kernels take gathered vertex
+rows as complex numbers z = x + iy (graph points stay (N, 2) floats): a
+pose (theta, x, y) moves z to z e^(i theta) + (x + iy), and a pair
+distance is an abs.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -242,33 +246,37 @@ def _wrap(theta):
     return np.where(theta > math.pi, theta - TWO_PI, theta)
 
 
-def _fit(vl: np.ndarray, vg: np.ndarray):
+def _complex(points: np.ndarray) -> np.ndarray:
+    """(..., 2) float rows as complex numbers x + iy (a view where they are contiguous)."""
+    return np.ascontiguousarray(points, dtype=np.float64).view(np.complex128)[..., 0]
+
+
+def _fit(zl: np.ndarray, zg: np.ndarray):
     """Rigid fits of N paired vertex rows: (thetas, translations, residuals).
 
-    vl[n, i] pairs with vg[n, i].  Per row, candidate rotations are the
-    angles turning each centered local vertex onto its centered partner;
-    the one with the least summed rotation-fit error wins, ties to the
-    lower angle.  Vertices whose centered vector on either side is shorter
-    than 1e-9 m contribute no candidate, and a row left with none gets
-    residual inf.  The translation maps the rotated local centroid onto
-    the global one.  Thetas come back wrapped to (-pi, pi], as a
-    RigidTransform2D holds them.
+    zl[n, i] pairs with zg[n, i], both complex.  Per row, candidate
+    rotations are the angles turning each centered local vertex onto its
+    centered partner; the one with the least summed rotation-fit error
+    wins, ties to the lower angle.  Vertices whose centered vector on
+    either side is shorter than 1e-9 m contribute no candidate, and a row
+    left with none gets residual inf.  The translation maps the rotated
+    local centroid onto the global one.  Thetas come back wrapped to
+    (-pi, pi], as a RigidTransform2D holds them.
     """
-    cl, cg = vl.mean(axis=1), vg.mean(axis=1)
-    u, w = vl - cl[:, None], vg - cg[:, None]
-    valid = (np.linalg.norm(u, axis=2) >= 1e-9) & (np.linalg.norm(w, axis=2) >= 1e-9)
-    betas = np.arctan2(u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0], (u * w).sum(axis=2))
+    cl, cg = zl.mean(axis=1), zg.mean(axis=1)
+    u, w = zl - cl[:, None], zg - cg[:, None]
+    valid = (np.abs(u) >= 1e-9) & (np.abs(w) >= 1e-9)
+    betas = np.angle(u.conj() * w)
     # fit[n, i]: row n's centered pairs, the local side turned by betas[n, i]
-    fit = _pair_distances(betas[..., None], 0.0, 0.0, u[:, None], w[:, None]).sum(axis=2)
+    fit = np.abs(u[:, None] * np.exp(1j * betas)[..., None] - w[:, None]).sum(axis=2)
     fit[~valid] = np.inf
     order = np.lexsort((betas, fit), axis=1)
     found = np.take_along_axis(betas, order[:, :1], axis=1)[:, 0]
-    c, s = np.cos(found), np.sin(found)
-    t = cg - np.column_stack([c * cl[:, 0] - s * cl[:, 1], s * cl[:, 0] + c * cl[:, 1]])
+    t = cg - cl * np.exp(1j * found)
     theta = _wrap(found)
-    residual = _pair_distances(theta[:, None], t[:, :1], t[:, 1:], vl, vg).sum(axis=1)
+    residual = _residual((theta[:, None], t.real[:, None], t.imag[:, None]), zl, zg)
     residual[~valid.any(axis=1)] = np.inf
-    return theta, t, residual
+    return theta, np.column_stack([t.real, t.imag]), residual
 
 
 def _pair_and_fit(local_ids, global_ids, points_local, points_global):
@@ -289,11 +297,11 @@ def _pair_and_fit(local_ids, global_ids, points_local, points_global):
     ambiguous flags); a residual of inf marks a pair with no fit, whose
     theta and translation mean nothing.
     """
-    pl = points_local[local_ids[:, :3]]
-    pg = points_global[global_ids[:, :3]]
+    zl = _complex(points_local[local_ids])
+    zg = _complex(points_global[global_ids])
     # the edge opposite corner j runs between the other two corners
-    le = np.linalg.norm(pl[:, [1, 2, 0]] - pl[:, [2, 0, 1]], axis=2)
-    ge = np.linalg.norm(pg[:, [1, 2, 0]] - pg[:, [2, 0, 1]], axis=2)
+    le = np.abs(zl[:, [1, 2, 0]] - zl[:, [2, 0, 1]])
+    ge = np.abs(zg[:, [1, 2, 0]] - zg[:, [2, 0, 1]])
     diff = np.abs(le[:, :, None] - ge[:, None, :])
     tied = diff <= diff.min(axis=(1, 2), keepdims=True) + _EDGE_TIE_TOLERANCE
     # rotation o holds the center-edge pairs (j, (j + o) % 3)
@@ -304,7 +312,7 @@ def _pair_and_fit(local_ids, global_ids, points_local, points_global):
     theta, t = np.full((k, 3), np.nan), np.full((k, 3, 2), np.nan)
     residual = np.full((k, 3), np.inf)
     theta[cand, rot], t[cand, rot], residual[cand, rot] = _fit(
-        points_local[local_ids[cand]], points_global[paired[cand, rot]]
+        zl[cand], zg[cand[:, None], _ROTATIONS[rot]]
     )
     ranked = np.sort(residual, axis=1)
     ambiguous = (rotations.sum(axis=1) > 1) & (ranked[:, 1] - ranked[:, 0] <= 1e-6)
@@ -347,8 +355,8 @@ def estimate_transform(
     DegenerateStarError when the pairing gives no rotation candidate.
     """
     theta, t, residual = _fit(
-        points_local[list(corr.local_vertices)][None],
-        points_global[list(corr.global_vertices)][None],
+        _complex(points_local[list(corr.local_vertices)])[None],
+        _complex(points_global[list(corr.global_vertices)])[None],
     )
     if not residual[0] < np.inf:
         raise DegenerateStarError("degenerate star geometry")
@@ -364,8 +372,8 @@ def verification_residual(
     points_global: np.ndarray,
 ) -> float:
     """Summed pair distance over every matched vertex pair (see _unique_pairs)."""
-    vl, vg, m = _unique_pairs(*_pair_ids(correspondences), points_local, points_global)
-    return _residual((transform.theta, *transform.t), vl, vg, m)
+    zl, zg, m = _unique_pairs(*_pair_ids(correspondences), points_local, points_global)
+    return float(_residual((transform.theta, *transform.t), zl, zg, m))
 
 
 def _pair_ids(correspondences):
@@ -375,13 +383,8 @@ def _pair_ids(correspondences):
     return np.array(li, dtype=np.intp), np.array(gi, dtype=np.intp)
 
 
-def _stack_pairs(correspondences, points_local, points_global):
-    li, gi = _pair_ids(correspondences)
-    return points_local[li], points_global[gi]
-
-
 def _unique_pairs(local_ids, global_ids, points_local, points_global):
-    """The distinct (local id, global id) pairs as (vl, vg, multiplicities).
+    """The distinct (local id, global id) pairs as complex (zl, zg, multiplicities).
 
     Pair i of the inputs pairs local_ids[i] with global_ids[i]; each
     distinct pair comes back once, in (local id, global id) order, with
@@ -392,7 +395,7 @@ def _unique_pairs(local_ids, global_ids, points_local, points_global):
     n_global = len(points_global)
     keys = local_ids.astype(np.int64) * n_global + global_ids
     keys, m = np.unique(keys, return_counts=True)
-    return points_local[keys // n_global], points_global[keys % n_global], m
+    return _complex(points_local[keys // n_global]), _complex(points_global[keys % n_global]), m
 
 
 def _mad_filter(theta, t, residual):
@@ -405,74 +408,66 @@ def _mad_filter(theta, t, residual):
     """
     if len(theta) < 4:
         return np.arange(len(theta))
-    delta = _wrap(theta - theta[np.argmin(residual)])
-    keep = np.ones(len(theta), dtype=bool)
-    for comp in (delta, t[:, 0], t[:, 1]):
-        dev = np.abs(comp - np.median(comp))
-        keep &= dev <= 3.0 * np.median(dev) + 1e-6
+    cols = np.column_stack([_wrap(theta - theta[np.argmin(residual)]), t])
+    dev = np.abs(cols - np.median(cols, axis=0))
+    keep = (dev <= 3.0 * np.median(dev, axis=0) + 1e-6).all(axis=1)
     return np.flatnonzero(keep) if keep.sum() >= 4 else np.arange(len(theta))
 
 
-def _pair_distances(theta, x, y, vl, vg) -> np.ndarray:
-    """Distances |R(theta) vl + (x, y) - vg|; array poses broadcast over the pairs."""
-    c, s = np.cos(theta), np.sin(theta)
-    rx = vl[..., 0] * c - vl[..., 1] * s + x - vg[..., 0]
-    ry = vl[..., 0] * s + vl[..., 1] * c + y - vg[..., 1]
-    return np.hypot(rx, ry)
+def _residual(pose, zl, zg, m=1):
+    """Summed pair distance |zl e^(i theta) + (x + iy) - zg| under pose = (theta, x, y).
+
+    zl[i] pairs with zg[i], both complex, and counts m[i] times.  Poses
+    broadcast: theta, x and y of shape (S, 1) give S sums.
+    """
+    theta, x, y = pose
+    return (np.abs(zl * np.exp(1j * theta) + (x + 1j * y) - zg) * m).sum(axis=-1)
 
 
-def _residual(pose, vl, vg, m) -> float:
-    """Summed pair distance under pose = (theta, x, y), pair i counted m[i] times."""
-    return float((_pair_distances(*pose, vl, vg) * m).sum())
-
-
-def _weighted_procrustes(vl, vg, w):
-    """Rigid (theta, x, y) minimizing sum w_i |R vl_i + t - vg_i|^2 (closed form)."""
-    w = w / w.sum()
-    cl = w @ vl
-    cg = w @ vg
-    u = vl - cl
-    v = vg - cg
-    theta = math.atan2(
-        float(w @ (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])), float(w @ (u * v).sum(axis=1))
-    )
-    c, s = math.cos(theta), math.sin(theta)
-    return theta, float(cg[0] - (c * cl[0] - s * cl[1])), float(cg[1] - (s * cl[0] + c * cl[1]))
-
-
-def _verify(vl, vg, m, seeds):
+def _verify(zl, zg, m, seeds):
     """Minimize the summed pair residual, starting from the best seed.
 
-    vl[i] pairs with vg[i], and the pair counts m[i] times: the residual
-    of a pose is the sum of m times the pair distances, so distinct
-    pairs with their multiplicities (see _unique_pairs) give the sum over
-    every matched pair.  Every seed (beta, x, y), a row of seeds, is
-    scored directly in one broadcast call; the lowest by (residual, beta,
-    x, y) starts the solve, so seed order cannot change the result.  The
-    solve is Weiszfeld-style iteratively reweighted least squares: each
-    step is a Procrustes fit with weights m_i/d_i from the current pair
-    distances, which never raises the residual (Weiszfeld 1937).  The
-    loop stops once a step lowers the residual by less than _IRLS_RTOL of
-    its value.  The refined pose replaces the best seed only if its
-    residual is lower.  Returns (beta, x, y, residual).
+    zl[i] pairs with zg[i], both complex, and counts m[i] times (see
+    _unique_pairs).  Every seed (beta, x, y), a row of seeds, is scored by
+    _residual in one broadcast call; the lowest by (residual, beta, x, y)
+    starts the solve, so seed order cannot change the result.  The solve
+    is Weiszfeld-style iteratively reweighted least squares: each step is
+    a Procrustes fit with weights w_i = m_i/d_i from the current pair
+    distances, which never raises the residual (Weiszfeld 1937).  With u
+    and v the pairs centered on their means, one weighted sum over the
+    rows [conj(u) v, u, v, 1] gives the fit: its rotation is the angle of
+    sum w conj(u) v - conj(sum w u) sum w v / sum w.  The loop stops once a
+    step lowers the residual by less than _IRLS_RTOL of its value, and its
+    pose replaces the best seed only if its residual is lower.  Returns
+    (beta, x, y, residual, IRLS steps taken).
     """
-    d = _pair_distances(seeds[:, :1], seeds[:, 1:2], seeds[:, 2:], vl, vg)
-    scores = (d * m).sum(axis=1)
+    scores = _residual(seeds.T[:, :, None], zl, zg, m)
     first = np.lexsort((seeds[:, 2], seeds[:, 1], seeds[:, 0], scores))[0]
     best = (float(scores[first]), *seeds[first])
     refined = best
-    d = d[first]
-    for _ in range(_IRLS_MAX_ITER):
-        pose = _weighted_procrustes(vl, vg, m / np.maximum(d, _IRLS_MIN_DIST))
-        d = _pair_distances(*pose, vl, vg)
-        step = (float((d * m).sum()),) + pose
+    d = _residual(seeds[first], zl[:, None], zg[:, None])  # the seed's pair distances
+    m = m.astype(np.float64)
+    cl, cg = complex(zl.mean()), complex(zg.mean())
+    u, v = zl - cl, zg - cg
+    moments = np.stack([u.conj() * v, u, v, np.ones_like(u)], axis=1).view(np.float64)
+    steps = 0
+    while steps < _IRLS_MAX_ITER:
+        steps += 1
+        w = m / np.maximum(d, _IRLS_MIN_DIST)
+        uv, su, sv, sw = (w @ moments).view(np.complex128).tolist()
+        r = uv - su.conjugate() * sv / sw.real
+        theta = math.atan2(r.imag, r.real)
+        turn = cmath.exp(1j * theta)
+        t = cg + sv / sw.real - (cl + su / sw.real) * turn
+        d = np.abs(zl * turn + t - zg)
+        step = (float(d @ m), theta, t.real, t.imag)
         converged = refined[0] - step[0] <= _IRLS_RTOL * refined[0]
         refined = min(refined, step)
         if converged:
             break
     if refined[0] < best[0]:
         best = refined
-    return best[1], best[2], best[3], best[0]
+    return best[1], best[2], best[3], best[0], steps
 
 
 def localize(
@@ -508,13 +503,13 @@ def localize(
         raise InsufficientMatchesError("insufficient matches", match_count=len(accepted))
     t_match = time.perf_counter()
     kept = accepted[_mad_filter(theta[accepted], t[accepted], residual[accepted])]
-    thetas, ts = theta[kept], t[kept]
-    median = (thetas[0] + np.median(_wrap(thetas - thetas[0])), *np.median(ts, axis=0))
-    seeds = np.vstack([np.column_stack([thetas, ts]), median])
+    seeds = np.column_stack([theta[kept], t[kept]])
+    median = np.median(np.column_stack([_wrap(seeds[:, 0] - seeds[0, 0]), seeds[:, 1:]]), axis=0)
+    seeds = np.vstack([seeds, median + [seeds[0, 0], 0.0, 0.0]])
     seeds[:, 0] = np.mod(seeds[:, 0], TWO_PI)
     pair_ids = (local.vertices[lrow[kept]].ravel(), paired[kept].ravel())
-    vl, vg, m = _unique_pairs(*pair_ids, graph_local.points, graph_map.points)
-    beta, x, y, residual_sum = _verify(vl, vg, m, seeds)
+    zl, zg, m = _unique_pairs(*pair_ids, graph_local.points, graph_map.points)
+    beta, x, y, residual_sum, _ = _verify(zl, zg, m, seeds)
     t_verify = time.perf_counter()
     return LocalizationResult(
         pose=RigidTransform2D(beta, np.array([x, y])),
@@ -574,7 +569,8 @@ def brute_force_match_oracle(
             accepted.append(best[1])
     if not accepted:
         raise NoOverlapError("no overlap")
-    vl, vg = _stack_pairs(accepted, graph_local.points, graph_map.points)
+    li, gi = _pair_ids(accepted)
+    vl, vg = graph_local.points[li], graph_map.points[gi]
 
     def objective(p):
         cb, sb = math.cos(p[0]), math.sin(p[0])

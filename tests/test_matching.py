@@ -57,6 +57,11 @@ def make_graph(seed, n=80, extent=80.0):
     return triangulate(rng.uniform(0, extent, (n, 2)))
 
 
+def as_complex(v):
+    """(..., 2) rows as complex numbers x + iy, the form the matching kernels take."""
+    return v[..., 0] + 1j * v[..., 1]
+
+
 def star_by_center_ids(graph, vertex_ids):
     """Find the interior star whose center triangle uses these vertex ids."""
     want = set(vertex_ids)
@@ -406,7 +411,7 @@ def test_fit_takes_best_candidate_rotation():
     poses = [RigidTransform2D(rng.uniform(-math.pi, math.pi), rng.uniform(-50, 50, 2)) for _ in vl]
     vg = np.array([pose.apply(v) for pose, v in zip(poses, vl)])
     vg += rng.normal(0.0, 0.05, vg.shape)
-    theta, t, residual = _fit(vl, vg)
+    theta, t, residual = _fit(as_complex(vl), as_complex(vg))
     cl, cg = vl.mean(axis=1, keepdims=True), vg.mean(axis=1, keepdims=True)
     u, w = vl - cl, vg - cg
     error = rotation_fit_error(u, w, theta[:, None])[:, 0]
@@ -422,6 +427,75 @@ def test_fit_takes_best_candidate_rotation():
     np.testing.assert_allclose(t, cg[:, 0] - rotated[:, 0], rtol=0, atol=1e-9)
     moved = np.array([RigidTransform2D(a, b).apply(v) for a, b, v in zip(theta, t, vl)])
     np.testing.assert_allclose(residual, np.hypot(*(moved - vg).T).sum(axis=0), rtol=1e-12)
+
+
+def rotate(theta, v):
+    """Rows of v turned by the matrix [[c, -s], [s, c]], one row at a time."""
+    c, s = math.cos(theta), math.sin(theta)
+    rotation = np.array([[c, -s], [s, c]])
+    return np.array([rotation @ p for p in v])
+
+
+def test_residual_pair_distances_by_rotation_matrix():
+    """_residual's pair distances and weighted sums equal an explicit loop, pose by pose.
+
+    Poses given as (S, 1) arrays give the same sums, bit for bit, as one
+    call per pose; _verify scores its seeds that way.
+    """
+    rng = np.random.default_rng(21)
+    vl, vg = rng.uniform(-80.0, 80.0, (2, 40, 2))
+    m = rng.integers(1, 6, 40)
+    zl, zg = as_complex(vl), as_complex(vg)
+    poses = np.column_stack(
+        [rng.uniform(-2 * math.pi, 2 * math.pi, 25), rng.uniform(-100.0, 100.0, (25, 2))]
+    )
+    for theta, x, y in poses:
+        want = np.hypot(*(rotate(theta, vl) + (x, y) - vg).T)
+        got = _residual((theta, x, y), zl[:, None], zg[:, None])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert math.isclose(_residual((theta, x, y), zl, zg, m), want @ m, rel_tol=1e-12)
+    one_call = _residual(poses.T[:, :, None], zl, zg, m)
+    assert one_call.tobytes() == np.array([_residual(p, zl, zg, m) for p in poses]).tobytes()
+
+
+def weighted_lsq_scan(vl, vg, w, angles):
+    """Per angle, min over t of sum w_i |R vl_i + t - vg_i|^2: the t that maps
+    the weighted local centroid onto the weighted global one."""
+    cl, cg = w @ vl / w.sum(), w @ vg / w.sum()
+    u, v = vl - cl, vg - cg
+    c, s = np.cos(angles)[:, None], np.sin(angles)[:, None]
+    rx = u[:, 0] * c - u[:, 1] * s - v[:, 0]
+    ry = u[:, 0] * s + u[:, 1] * c - v[:, 1]
+    return (rx * rx + ry * ry) @ w
+
+
+def test_irls_step_is_weighted_procrustes(monkeypatch):
+    """One IRLS step from a seed solves the weighted least squares problem
+    with weights m_i / d_i, d_i the pair distances under the seed.
+
+    A dense scan of the angle (65,536 steps, then 4,001 around the best)
+    finds no lower weighted sum, and the translation maps the weighted
+    local centroid onto the global one.
+    """
+    rng = np.random.default_rng(22)
+    vl = rng.uniform(-20.0, 20.0, (30, 2))
+    vg = rotate(2.5, vl) + (40.0, -15.0) + rng.normal(0.0, 0.5, vl.shape)
+    m = rng.integers(1, 5, 30)
+    seed = np.array([[2.3, 38.0, -13.0]])
+    w = m / np.hypot(*(rotate(2.3, vl) + seed[0, 1:] - vg).T)
+    monkeypatch.setattr(forestloc.matching, "_IRLS_MAX_ITER", 1)
+    theta, x, y, residual, steps = _verify(as_complex(vl), as_complex(vg), m, seed)
+    assert steps == 1 and theta != 2.3
+    assert residual < np.hypot(*(rotate(2.3, vl) + seed[0, 1:] - vg).T) @ m
+    got = ((rotate(theta, vl) + (x, y) - vg) ** 2).sum(axis=1) @ w
+    coarse = np.linspace(-math.pi, math.pi, 65536, endpoint=False)
+    best = coarse[np.argmin(weighted_lsq_scan(vl, vg, w, coarse))]
+    fine = best + np.linspace(-2e-4, 2e-4, 4001)
+    scan = weighted_lsq_scan(vl, vg, w, fine)
+    assert got <= scan.min() * (1 + 1e-12)
+    assert abs(normalize_angle(theta - fine[np.argmin(scan)])) <= 1e-7
+    cl, cg = w @ vl / w.sum(), w @ vg / w.sum()
+    np.testing.assert_allclose((x, y), cg - rotate(theta, cl[None])[0], rtol=0, atol=1e-9)
 
 
 def test_verification_residual_matches_definition():
@@ -572,26 +646,27 @@ def pair_counts(corrs):
 
 
 def unique_pairs_oracle(corrs, points_local, points_map):
-    """The distinct vertex pairs of corrs in (local id, map id) order: (vl, vg, m)."""
+    """The distinct vertex pairs of corrs in (local id, map id) order: complex (zl, zg, m)."""
     counts = pair_counts(corrs)
     ids = sorted(counts)
     m = np.array([counts[p] for p in ids])
-    return points_local[[i for i, _ in ids]], points_map[[j for _, j in ids]], m
+    zl = as_complex(points_local[[i for i, _ in ids]])
+    return zl, as_complex(points_map[[j for _, j in ids]]), m
 
 
-def verify_start_oracle(vl, vg, m, seeds):
+def verify_start_oracle(zl, zg, m, seeds):
     """The seed verification starts from, by a plain loop: (residual, beta, x, y)."""
-    return min((_residual(seed, vl, vg, m),) + tuple(seed) for seed in seeds)
+    return min((_residual(seed, zl, zg, m),) + tuple(seed) for seed in seeds)
 
 
 def test_verify_seed_rule(monkeypatch):
     """The lowest (residual, beta, x, y) seed starts the solve, in any seed order."""
     g_map, g_loc, _ = make_instance(40, n=120, extent=90.0, window=50.0, noise=0.03)
     corrs = localize(g_loc, g_map).correspondences
-    vl, vg, m = unique_pairs_oracle(corrs, g_loc.points, g_map.points)
+    zl, zg, m = unique_pairs_oracle(corrs, g_loc.points, g_map.points)
     assert m.max() > 1
     seeds = np.array([(c.transform.theta % TWO_PI, *c.transform.t) for c in corrs])
-    start = verify_start_oracle(vl, vg, m, seeds)
+    start = verify_start_oracle(zl, zg, m, seeds)
     first = np.flatnonzero((seeds == start[1:]).all(axis=1))[0]
     rng = np.random.default_rng(3)
     orders = [
@@ -599,17 +674,18 @@ def test_verify_seed_rule(monkeypatch):
         seeds[rng.permutation(len(seeds))],
         np.vstack([seeds, seeds[[first]]])[rng.permutation(len(seeds) + 1)],
     ]
-    solved = {np.array(_verify(vl, vg, m, s)).tobytes() for s in orders}
+    solved = {np.array(_verify(zl, zg, m, s)).tobytes() for s in orders}
     assert len(solved) == 1
     monkeypatch.setattr(forestloc.matching, "_IRLS_MAX_ITER", 0)  # the start, unsolved
     for s in orders:
-        beta, x, y, residual = _verify(vl, vg, m, s)
+        beta, x, y, residual, steps = _verify(zl, zg, m, s)
         assert np.array([residual, beta, x, y]).tobytes() == np.array(start).tobytes()
+        assert steps == 0
     # every rotation of a local point at the origin leaves it 5 m from (3, 4)
     tied = np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.5, 0.0, 0.0]])
-    one = (np.zeros((1, 2)), np.array([[3.0, 4.0]]))
-    assert _verify(*one, np.array([1]), tied) == (1.0, 0.0, 0.0, 5.0)
-    assert _verify(*one, np.array([3]), tied) == (1.0, 0.0, 0.0, 15.0)
+    one = (np.zeros(1, dtype=complex), np.array([3.0 + 4.0j]))
+    assert _verify(*one, np.array([1]), tied) == (1.0, 0.0, 0.0, 5.0, 0)
+    assert _verify(*one, np.array([3]), tied) == (1.0, 0.0, 0.0, 15.0, 0)
 
 
 def test_localize_edge_lengths_preserved():
@@ -916,6 +992,77 @@ def test_zero_area_triangle_in_loaded_graphs(monkeypatch, tmp_path, tolerance):
     assert abs(normalize_angle(outcome.pose.theta - truth.theta)) < 1e-9
 
 
+NOISY_INSTANCES = [
+    partial(make_instance, seed, n=120, extent=90.0, window=50.0, noise=0.03) for seed in (40, 41)
+]
+
+
+def mad_filter_oracle(theta, t, residual):
+    """The rows _mad_filter keeps, taking the median of each component on its own."""
+    if len(theta) < 4:
+        return np.arange(len(theta))
+    ref = theta[np.argmin(residual)]
+    delta = np.array([normalize_angle(a - ref) for a in theta])
+    keep = np.ones(len(theta), dtype=bool)
+    for comp in (delta, t[:, 0], t[:, 1]):
+        dev = np.abs(comp - np.median(comp))
+        keep &= dev <= 3.0 * np.median(dev) + 1e-6
+    return np.flatnonzero(keep) if keep.sum() >= 4 else np.arange(len(theta))
+
+
+def test_mad_filter_matches_per_component_medians():
+    """One median over the stacked components keeps the same rows as one per component.
+
+    Random clusters of odd and even size, some straddling the -pi/pi
+    seam and some with outliers, plus the accepted matches of localize
+    results; at least one case must drop rows.
+    """
+    rng = np.random.default_rng(23)
+    cases = []
+    for n in range(1, 40):
+        center = rng.choice([0.3, math.pi - 1e-3, -math.pi])
+        theta = normalize_angle(center) + rng.normal(0.0, 0.01, n)
+        t = rng.normal(5.0, 0.05, (n, 2))
+        outliers = rng.random(n) < 0.2
+        theta[outliers] += rng.uniform(-3.0, 3.0, outliers.sum())
+        t[outliers] += rng.uniform(-9.0, 9.0, (outliers.sum(), 2))
+        cases.append((np.array([normalize_angle(a) for a in theta]), t, rng.random(n)))
+    for make in NOISY_INSTANCES + GRID:
+        g_map, g_loc = make()[:2]
+        res = localize(g_loc, g_map)
+        cases.append((res.thetas, res.translations, res.residuals))
+    dropped = 0
+    for theta, t, residual in cases:
+        got = _mad_filter(theta, t, residual)
+        assert got.tobytes() == mad_filter_oracle(theta, t, residual).tobytes()
+        dropped += len(theta) - len(got)
+    assert dropped > 0
+
+
+def test_median_seed_per_component(monkeypatch):
+    """The median seed verification scores is the per-component median of the kept fits."""
+    seeds = []
+    real = forestloc.matching._verify
+
+    def recording(zl, zg, m, s):
+        seeds.append(s)
+        return real(zl, zg, m, s)
+
+    monkeypatch.setattr(forestloc.matching, "_verify", recording)
+    for make in NOISY_INSTANCES + GRID:
+        g_map, g_loc = make()[:2]
+        res = localize(g_loc, g_map)
+        kept = _mad_filter(res.thetas, res.translations, res.residuals)
+        thetas, ts = res.thetas[kept], res.translations[kept]
+        offsets = [normalize_angle(a - thetas[0]) for a in thetas]
+        want = (
+            (thetas[0] + np.median(offsets)) % TWO_PI,
+            np.median(ts[:, 0]),
+            np.median(ts[:, 1]),
+        )
+        assert seeds[-1][-1].tobytes() == np.array(want).tobytes()
+
+
 def kept_correspondences(res):
     """The accepted correspondences the MAD filter keeps for verification."""
     kept = _mad_filter(res.thetas, res.translations, res.residuals)
@@ -950,6 +1097,32 @@ def test_residual_sums_stacked_pairs(make):
     assert math.isclose(res.residual, want, rel_tol=1e-12)
     got = verification_residual(res.pose, kept, g_loc.points, g_map.points)
     assert math.isclose(got, want, rel_tol=1e-12)
+
+
+def test_residual_across_the_angle_seam():
+    """A pose at the -pi/pi seam gives the stacked residual under every
+    representation of its angle, with kept matches on both sides of it."""
+    rng = np.random.default_rng(24)
+    pts = rng.uniform(0.0, 90.0, (120, 2))
+    window = pts[np.hypot(*(pts - 45.0).T) < 30.0]
+    truth = RigidTransform2D(math.pi - 2e-4, np.array([12.0, -7.0]))
+    local = truth.inverse().apply(window) + rng.normal(0.0, 0.03, window.shape)
+    g_map, g_loc = triangulate(pts), triangulate(local)
+    res = localize(g_loc, g_map)
+    kept = kept_correspondences(res)
+    thetas = np.array([c.transform.theta for c in kept])
+    assert (thetas > 3.0).any() and (thetas < -3.0).any()
+    assert abs(normalize_angle(res.pose.theta - truth.theta)) < 1e-2
+    want = stacked_residual(res.pose, kept, g_loc.points, g_map.points)
+    assert math.isclose(res.residual, want, rel_tol=1e-12)
+    li, gi = (
+        np.array([i for c in kept for i in getattr(c, side)])
+        for side in ("local_vertices", "global_vertices")
+    )
+    zl, zg, m = _unique_pairs(li, gi, g_loc.points, g_map.points)
+    for theta in res.pose.theta + np.array([-TWO_PI, 0.0, TWO_PI]):
+        got = _residual((theta, *res.pose.t), zl, zg, m)
+        assert math.isclose(got, want, rel_tol=1e-12)
 
 
 def test_local_vertex_with_two_map_partners_stays_two_pairs():
@@ -996,17 +1169,18 @@ def noisy_recovery_instance(seed):
 def test_irls_stops_before_its_cap(monkeypatch):
     """No verification solve on noisy instances runs into _IRLS_MAX_ITER.
 
-    Each step is one _weighted_procrustes call.  Trial 121 of the noisy
-    recovery test takes the most steps of its 200 (802).
+    _verify reports the steps it took.  Trial 121 of the noisy recovery
+    test takes the most steps of its 200 (803).
     """
     steps = []
-    real = forestloc.matching._weighted_procrustes
+    real = forestloc.matching._verify
 
     def counting(*args):
-        steps[-1] += 1
-        return real(*args)
+        solved = real(*args)
+        steps[-1] += solved[-1]
+        return solved
 
-    monkeypatch.setattr(forestloc.matching, "_weighted_procrustes", counting)
+    monkeypatch.setattr(forestloc.matching, "_verify", counting)
     instances = [partial(noisy_recovery_instance, seed) for seed in (18, 112, 121, 161)]
     instances += [
         partial(make_instance, seed, n=120, extent=90.0, window=50.0, noise=0.03)
