@@ -10,9 +10,7 @@ from .dtgraph import (
     triangulate,
 )
 from .errors import (
-    AmbiguousCorrespondenceError,
     DegeneratePointSetError,
-    DegenerateStarError,
     EmptyCloudError,
     ForestLocError,
     InfeasibleForestError,
@@ -27,11 +25,8 @@ from .matching import (
     MatchParams,
     OracleResult,
     brute_force_match_oracle,
-    correspond_vertices,
     dissimilarity,
-    estimate_transform,
     localize,
-    verification_residual,
 )
 from .pipeline import (
     BenchmarkConfig,
@@ -62,13 +57,11 @@ from .trunks import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousCorrespondenceError",
     "BenchmarkConfig",
     "BenchmarkDetail",
     "BenchmarkRow",
     "Correspondence",
     "DegeneratePointSetError",
-    "DegenerateStarError",
     "DTGraph",
     "EmptyCloudError",
     "Forest",
@@ -92,9 +85,7 @@ __all__ = [
     "aggregate_scans",
     "brute_force_match_oracle",
     "cluster_trunk_points",
-    "correspond_vertices",
     "dissimilarity",
-    "estimate_transform",
     "extract_trunk_map",
     "generate_forest",
     "load_graph",
@@ -109,6 +100,5 @@ __all__ = [
     "simulate_scan",
     "triangle_descriptors",
     "triangulate",
-    "verification_residual",
     "write_benchmark_csv",
 ]

@@ -156,14 +156,6 @@ class DTGraph:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
-    @cached_property
-    def edges(self) -> np.ndarray:
-        """Unique undirected edges as a sorted (E, 2) id array."""
-        t = self.triangles
-        e = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        e = np.sort(e, axis=1)
-        return np.unique(e, axis=0)
-
     def descriptor(self, t: int) -> TriangleDescriptor:
         if not 0 <= t < self.n_triangles:
             raise ValueError(f"unknown triangle id {t}")
@@ -328,11 +320,14 @@ def load_graph(path) -> DTGraph:
     invariants as a graph built in memory.  The stored triangles must be
     the rebuild's as a set of vertex triples (row order and the rotation
     of a row do not matter), and each stored descriptor must agree with
-    the rebuilt one to 1e-6 relative; otherwise ValueError.  Row ids of
-    every table must run 0, 1, 2, ... in file order.
+    the rebuilt one to 1e-6 relative; otherwise ValueError.  The file must
+    hold one object, the row ids of every table must run 0, 1, 2, ... in
+    file order, and triangle vertex ids must be integers.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: top-level value must be an object")
     for key, width in (("vertices", 3), ("triangles", 4), ("descriptors", 3)):
         if key not in data:
             raise ValueError(f"{path}: missing key {key!r}")
@@ -343,7 +338,9 @@ def load_graph(path) -> DTGraph:
         if [row[0] for row in data[key]] != list(range(len(data[key]))):
             raise ValueError(f"{path}: {key} ids not contiguous from 0")
     pts = as_points2([row[1:] for row in data["vertices"]])
-    simplices = np.array([row[1:] for row in data["triangles"]], dtype=np.intp).reshape(-1, 3)
+    simplices = np.array([row[1:] for row in data["triangles"]]).reshape(-1, 3)
+    if len(simplices) and simplices.dtype.kind not in "iu":
+        raise ValueError(f"{path}: triangle vertex ids must be integers")
     if len(simplices) == 0 or simplices.min() < 0 or simplices.max() >= len(pts):
         raise ValueError(f"{path}: triangle vertex id out of range")
     stored = np.array([row[1:] for row in data["descriptors"]], dtype=float).reshape(

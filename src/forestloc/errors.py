@@ -13,14 +13,6 @@ class DegeneratePointSetError(ForestLocError, ValueError):
     """Raised when a landmark set cannot be triangulated (< 3 points or collinear)."""
 
 
-class DegenerateStarError(ForestLocError, ValueError):
-    """Raised when every vertex of a star collapses onto its centroid."""
-
-
-class AmbiguousCorrespondenceError(ForestLocError, ValueError):
-    """Raised when two vertex pairings of a star fit equally well."""
-
-
 class InsufficientMatchesError(ForestLocError, RuntimeError):
     """Raised when fewer star matches were accepted than the caller requires."""
 

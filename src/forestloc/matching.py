@@ -30,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
 
@@ -38,13 +38,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .dtgraph import DTGraph, TriangleDescriptor, TriangleStar, log_star_features
-from .errors import (
-    AmbiguousCorrespondenceError,
-    DegenerateStarError,
-    InsufficientMatchesError,
-    NoOverlapError,
-    SizeCapError,
-)
+from .errors import InsufficientMatchesError, NoOverlapError, SizeCapError
 from .geometry import TWO_PI, RigidTransform2D
 
 _IRLS_RTOL = 1e-12  # stop once a step lowers the residual by less than this fraction
@@ -88,19 +82,15 @@ class Correspondence:
 
     local_vertices[i] pairs with global_vertices[i]; the first three are
     the center triangles' corners, the last three the neighbor apexes.
-    transform and residual are filled by estimate_transform, and in the
-    correspondences localize accepts.
+    transform and residual are the pair's own rigid fit (see _fit).
     """
 
     star_local: TriangleStar
     star_global: TriangleStar
     local_vertices: tuple
     global_vertices: tuple
-    transform: RigidTransform2D | None = None
-    residual: float | None = None
-
-    def mapping(self) -> dict:
-        return dict(zip(self.local_vertices, self.global_vertices))
+    transform: RigidTransform2D
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -321,68 +311,6 @@ def _pair_and_fit(local_ids, global_ids, points_local, points_global):
     return paired[rows, pick], theta[rows, pick], t[rows, pick], ranked[:, 0], ambiguous
 
 
-def correspond_vertices(
-    star_local: TriangleStar,
-    star_global: TriangleStar,
-    points_local: np.ndarray,
-    points_global: np.ndarray,
-) -> Correspondence:
-    """Pair the 6 star vertices by localize's rule; the transform fields stay unfilled.
-
-    See _pair_and_fit for the rule.  Raises AmbiguousCorrespondenceError
-    when tied rotations fit equally well, and DegenerateStarError when no
-    rotation can be fitted.
-    """
-    local_ids = star_local.vertex_ids()
-    paired, _, _, residual, ambiguous = _pair_and_fit(
-        np.array([local_ids]), np.array([star_global.vertex_ids()]), points_local, points_global
-    )
-    if ambiguous[0]:
-        raise AmbiguousCorrespondenceError("ambiguous correspondence")
-    if not residual[0] < np.inf:
-        raise DegenerateStarError("degenerate star geometry")
-    return Correspondence(star_local, star_global, local_ids, tuple(paired[0].tolist()))
-
-
-def estimate_transform(
-    corr: Correspondence,
-    points_local: np.ndarray,
-    points_global: np.ndarray,
-) -> Correspondence:
-    """Fit the rigid transform implied by a 6-vertex pairing (see _fit).
-
-    Returns a copy of corr with transform and residual filled, or raises
-    DegenerateStarError when the pairing gives no rotation candidate.
-    """
-    theta, t, residual = _fit(
-        _complex(points_local[list(corr.local_vertices)])[None],
-        _complex(points_global[list(corr.global_vertices)])[None],
-    )
-    if not residual[0] < np.inf:
-        raise DegenerateStarError("degenerate star geometry")
-    return replace(
-        corr, transform=RigidTransform2D(float(theta[0]), t[0]), residual=float(residual[0])
-    )
-
-
-def verification_residual(
-    transform: RigidTransform2D,
-    correspondences,
-    points_local: np.ndarray,
-    points_global: np.ndarray,
-) -> float:
-    """Summed pair distance over every matched vertex pair (see _unique_pairs)."""
-    zl, zg, m = _unique_pairs(*_pair_ids(correspondences), points_local, points_global)
-    return float(_residual((transform.theta, *transform.t), zl, zg, m))
-
-
-def _pair_ids(correspondences):
-    """(local ids, global ids) of every vertex pair of the correspondences, in order."""
-    li = [i for corr in correspondences for i in corr.local_vertices]
-    gi = [i for corr in correspondences for i in corr.global_vertices]
-    return np.array(li, dtype=np.intp), np.array(gi, dtype=np.intp)
-
-
 def _unique_pairs(local_ids, global_ids, points_local, points_global):
     """The distinct (local id, global id) pairs as complex (zl, zg, multiplicities).
 
@@ -539,38 +467,41 @@ def brute_force_match_oracle(
     """Exhaustive reference matcher for small graphs (test oracle).
 
     Scores every (local star, global star, center-corner bijection)
-    triple with the shared transform estimator, keeps the per-star best
-    among tolerance-passing global stars, and polishes the joint
-    objective by Nelder-Mead from every candidate transform.
+    triple with the shared rigid fit (_fit, all six bijections of a pair
+    in one call; a bijection with no fit is skipped), keeps the per-star
+    best by (residual, global center, bijection) among tolerance-passing
+    global stars, and polishes the joint objective by Nelder-Mead from
+    every candidate transform.
     """
     params = params or MatchParams()
     if graph_local.n_vertices > 50 or graph_map.n_vertices > 50:
         raise SizeCapError("size cap exceeded")
+    perms = np.array(list(permutations(range(3))))
+    columns = np.hstack([perms, perms + 3])  # row p: corners, then apexes, permuted by p
     global_stars = graph_map.interior_stars
     accepted = []
     for ls in graph_local.interior_stars:
+        local_ids = ls.vertex_ids()
+        zl = np.tile(_complex(graph_local.points[list(local_ids)]), (len(perms), 1))
         best = None
-        for gi, gs in enumerate(global_stars):
+        for gs in global_stars:
             rel = np.abs(gs.features - ls.features) / ls.features
             if (rel > params.feature_tolerance).any():
                 continue
-            ids = gs.vertex_ids()
-            for pi, perm in enumerate(permutations(range(3))):
-                global_ids = tuple(ids[p] for p in perm) + tuple(ids[3 + p] for p in perm)
-                corr = Correspondence(ls, gs, ls.vertex_ids(), global_ids)
-                try:
-                    est = estimate_transform(corr, graph_local.points, graph_map.points)
-                except DegenerateStarError:
-                    continue
-                key = (est.residual, gs.center, pi)
+            global_ids = np.array(gs.vertex_ids())[columns]
+            theta, t, residual = _fit(zl, _complex(graph_map.points[global_ids]))
+            for pi in np.flatnonzero(residual < np.inf).tolist():
+                key = (float(residual[pi]), gs.center, pi)
                 if best is None or key < best[0]:
-                    best = (key, est)
+                    transform = RigidTransform2D(float(theta[pi]), t[pi])
+                    paired = tuple(global_ids[pi].tolist())
+                    best = (key, Correspondence(ls, gs, local_ids, paired, transform, key[0]))
         if best is not None:
             accepted.append(best[1])
     if not accepted:
         raise NoOverlapError("no overlap")
-    li, gi = _pair_ids(accepted)
-    vl, vg = graph_local.points[li], graph_map.points[gi]
+    vl = graph_local.points[[i for c in accepted for i in c.local_vertices]]
+    vg = graph_map.points[[j for c in accepted for j in c.global_vertices]]
 
     def objective(p):
         cb, sb = math.cos(p[0]), math.sin(p[0])

@@ -8,3 +8,53 @@ def test_all_names_resolve_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(forestloc, name)]
     assert missing == []
+
+
+def test_public_names_pinned():
+    """The exact public API; a name leaves or joins it only on purpose."""
+    assert set(forestloc.__all__) == {
+        "BenchmarkConfig",
+        "BenchmarkDetail",
+        "BenchmarkRow",
+        "Correspondence",
+        "DTGraph",
+        "DegeneratePointSetError",
+        "EmptyCloudError",
+        "Forest",
+        "ForestLocError",
+        "ForestSpec",
+        "InfeasibleForestError",
+        "InsufficientMatchesError",
+        "LocalizationResult",
+        "MatchParams",
+        "NoOverlapError",
+        "OracleResult",
+        "PipelineResult",
+        "RigidTransform2D",
+        "SimulatedScan",
+        "SizeCapError",
+        "TriangleDescriptor",
+        "TriangleStar",
+        "TrunkCluster",
+        "TrunkExtractionParams",
+        "TrunkMap",
+        "aggregate_scans",
+        "brute_force_match_oracle",
+        "cluster_trunk_points",
+        "dissimilarity",
+        "extract_trunk_map",
+        "generate_forest",
+        "load_graph",
+        "load_xyz",
+        "localize",
+        "normalize_angle",
+        "run_benchmark",
+        "run_pipeline",
+        "save_graph",
+        "save_xyz",
+        "select_trunk_points",
+        "simulate_scan",
+        "triangle_descriptors",
+        "triangulate",
+        "write_benchmark_csv",
+    }

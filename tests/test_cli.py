@@ -251,6 +251,29 @@ def test_localize_short_map_row_rejected(scene, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {short}: vertices rows")
 
 
+def with_fractional_triangle_id(data):
+    data["triangles"][0][1] = 0.9
+    return data
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda data: 5, "top-level value must be an object"),
+        (lambda data: None, "top-level value must be an object"),
+        (with_fractional_triangle_id, "triangle vertex ids must be integers"),
+    ],
+    ids=["number", "null", "fractional-id"],
+)
+def test_localize_malformed_map_rejected(scene, tmp_path, capsys, edit, message):
+    base, _ = scene
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(json.loads((base / "map.json").read_text()))))
+    code = main(["localize", "--map", str(bad), "--local", str(base / "local.json")])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+
+
 def test_bad_area_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["simulate", "--area", "huge", "--path", "p.csv", "--out", str(tmp_path)])

@@ -50,6 +50,11 @@ def assert_empty_circumcircles(graph, rel_tol=1e-9):
         assert not inside.any()
 
 
+def edge_count(graph):
+    """Distinct undirected edges over every triangle's three sides."""
+    return len({frozenset((t[k], t[k - 1])) for t in graph.triangles.tolist() for k in range(3)})
+
+
 def enumerate_stars_oracle(graph):
     """Brute-force star selection: 3 neighbors, all 6 vertices off-hull, distinct."""
     out = []
@@ -81,7 +86,7 @@ def test_unit_square():
     # the two triangles share exactly one edge
     shared = set(map(int, g.triangles[0])) & set(map(int, g.triangles[1]))
     assert len(shared) == 2
-    assert len(g.edges) == 5
+    assert edge_count(g) == 5
     assert_empty_circumcircles(g)
 
 
@@ -154,7 +159,7 @@ def test_euler_formula():
     rng = np.random.default_rng(4)
     for n in (10, 50, 200):
         g = triangulate(rng.uniform(0, 30, (n, 2)))
-        assert g.n_vertices - len(g.edges) + g.n_triangles == 1
+        assert g.n_vertices - edge_count(g) + g.n_triangles == 1
 
 
 def test_hull_area_tiling():
@@ -351,6 +356,27 @@ def test_load_rejects_malformed(tmp_path):
             path.write_text(json.dumps(data).replace(f'"{value}"', value))
             with pytest.raises(ValueError, match="stored descriptors disagree"):
                 load_graph(path)
+
+
+@pytest.mark.parametrize("text", ["5", "null", "[]", '"vertices"'])
+def test_load_rejects_non_object(tmp_path, text):
+    path = tmp_path / "scalar.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="scalar.json: top-level value must be an object"):
+        load_graph(path)
+
+
+@pytest.mark.parametrize("vertex_id", [0.9, 1.0, "0", None])
+def test_load_rejects_non_integer_triangle_id(tmp_path, vertex_id):
+    """A triangle vertex id that is not an integer is rejected, not truncated."""
+    rng = np.random.default_rng(16)
+    path = tmp_path / "graph.json"
+    save_graph(triangulate(rng.uniform(0, 50, (80, 2))), path)
+    data = json.loads(path.read_text())
+    data["triangles"][3][1] = vertex_id
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="graph.json: triangle vertex ids must be integers"):
+        load_graph(path)
 
 
 def write_graph_file(path, points, triangles):

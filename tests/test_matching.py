@@ -17,9 +17,7 @@ from forestloc.dtgraph import (
     triangulate,
 )
 from forestloc.errors import (
-    AmbiguousCorrespondenceError,
     DegeneratePointSetError,
-    DegenerateStarError,
     ForestLocError,
     InsufficientMatchesError,
     NoOverlapError,
@@ -31,7 +29,6 @@ from forestloc.matching import (
     _IRLS_MAX_ITER,
     _KNN_HITS,
     _MAX_CANDIDATES_PER_STAR,
-    Correspondence,
     MatchParams,
     _candidates,
     _fit,
@@ -41,11 +38,8 @@ from forestloc.matching import (
     _unique_pairs,
     _verify,
     brute_force_match_oracle,
-    correspond_vertices,
     dissimilarity,
-    estimate_transform,
     localize,
-    verification_residual,
 )
 from forestloc.simulator import ForestSpec, generate_forest
 
@@ -69,6 +63,18 @@ def star_by_center_ids(graph, vertex_ids):
         if set(s.center_vertices) == want:
             return s
     return None
+
+
+def pair_one(star_local, star_global, points_local, points_global):
+    """_pair_and_fit on one candidate row: (paired ids, theta, t, residual, ambiguous)."""
+    rows = (np.array([star.vertex_ids()]) for star in (star_local, star_global))
+    return tuple(column[0] for column in _pair_and_fit(*rows, points_local, points_global))
+
+
+def fit_one(ids_local, ids_global, points_local, points_global):
+    """_fit on one row of paired vertex ids: (theta, t, residual)."""
+    zl, zg = as_complex(points_local[list(ids_local)]), as_complex(points_global[list(ids_global)])
+    return tuple(column[0] for column in _fit(zl[None], zg[None]))
 
 
 def test_params_validation():
@@ -194,21 +200,23 @@ def test_correspond_translation():
     g = make_graph(8)
     s = g.interior_stars[0]
     pts2 = g.points + [10.0, 0.0]
-    corr = correspond_vertices(s, s, g.points, pts2)
-    assert corr.mapping() == {v: v for v in s.vertex_ids()}
+    paired, _, _, residual, ambiguous = pair_one(s, s, g.points, pts2)
+    assert tuple(paired.tolist()) == s.vertex_ids()
+    assert residual < np.inf and not ambiguous
 
 
 def test_correspond_rotation():
     g = make_graph(9)
     s = g.interior_stars[1]
     T = RigidTransform2D(math.pi / 2, np.zeros(2))
-    corr = correspond_vertices(s, s, g.points, T.apply(g.points))
-    assert corr.mapping() == {v: v for v in s.vertex_ids()}
+    paired, _, _, residual, ambiguous = pair_one(s, s, g.points, T.apply(g.points))
+    assert tuple(paired.tolist()) == s.vertex_ids()
+    assert residual < np.inf and not ambiguous
     # matched center-edge lengths preserved
+    m = dict(zip(s.vertex_ids(), paired.tolist()))
     for i, j in ((0, 1), (1, 2), (2, 0)):
         a, b = s.center_vertices[i], s.center_vertices[j]
         la = np.linalg.norm(g.points[a] - g.points[b])
-        m = corr.mapping()
         lb = np.linalg.norm(T.apply(g.points)[m[a]] - T.apply(g.points)[m[b]])
         assert abs(la - lb) <= 1e-9
 
@@ -232,22 +240,21 @@ def test_correspond_mirror_never_rigid():
         if twin is None or same is None:
             continue
         assert np.allclose(twin.features, s.features, rtol=1e-9)
-        corr = correspond_vertices(s, twin, g.points, mirrored.points)
-        assert estimate_transform(corr, g.points, mirrored.points).residual > 0.1
-        corr = correspond_vertices(s, same, g.points, moved.points)
-        assert estimate_transform(corr, g.points, moved.points).residual < 1e-9
+        _, _, _, residual, ambiguous = pair_one(s, twin, g.points, mirrored.points)
+        assert residual > 0.1 and not ambiguous
+        _, _, _, residual, ambiguous = pair_one(s, same, g.points, moved.points)
+        assert residual < 1e-9 and not ambiguous
         checked += 1
     assert checked >= 20
 
 
 def test_estimate_identity():
     g = make_graph(11)
-    s = g.interior_stars[0]
-    corr = correspond_vertices(s, s, g.points, g.points.copy())
-    est = estimate_transform(corr, g.points, g.points.copy())
-    assert abs(est.transform.theta) < 1e-12
-    np.testing.assert_allclose(est.transform.t, [0.0, 0.0], atol=1e-12)
-    assert est.residual < 1e-9
+    ids = g.interior_stars[0].vertex_ids()
+    theta, t, residual = fit_one(ids, ids, g.points, g.points.copy())
+    assert abs(theta) < 1e-12
+    np.testing.assert_allclose(t, [0.0, 0.0], atol=1e-12)
+    assert residual < 1e-9
 
 
 def test_estimate_rotation_about_centroid():
@@ -260,11 +267,25 @@ def test_estimate_rotation_about_centroid():
     R = RigidTransform2D(theta, np.zeros(2))
     pts2 = g.points.copy()
     pts2 = R.apply(g.points - centroid) + centroid + [5.0, -2.0]
-    corr = correspond_vertices(s, s, g.points, pts2)
-    est = estimate_transform(corr, g.points, pts2)
-    assert abs(normalize_angle(est.transform.theta - theta)) < 1e-6
-    np.testing.assert_allclose(est.transform.apply(g.points[ids]), pts2[ids], atol=1e-6)
-    assert est.residual < 1e-6
+    found, t, residual = fit_one(ids, ids, g.points, pts2)
+    assert abs(normalize_angle(found - theta)) < 1e-6
+    fitted = RigidTransform2D(found, t)
+    np.testing.assert_allclose(fitted.apply(g.points[ids]), pts2[ids], atol=1e-6)
+    assert residual < 1e-6
+
+
+def test_unfittable_pair_has_infinite_residual():
+    """A pairing with no usable centered vector has no fit: residual inf.
+
+    Every vertex of the map side sits on one point, so each centered map
+    vector is zero and no rotation candidate is left.
+    """
+    g = make_graph(13)
+    s = g.interior_stars[0]
+    collapsed = np.tile(g.points[:1], (g.n_vertices, 1))
+    assert fit_one(s.vertex_ids(), s.vertex_ids(), g.points, collapsed)[2] == math.inf
+    _, _, _, residual, ambiguous = pair_one(s, s, g.points, collapsed)
+    assert residual == math.inf and not ambiguous
 
 
 def triangular_lattice(n=12, spacing=4.0):
@@ -284,22 +305,21 @@ def test_lattice_rotations_tie():
     """
     pts = triangular_lattice()
     g = triangulate(pts)
-    assert len(g.interior_stars) == 206
+    rows = g.star_table.vertices
+    assert len(rows) == 206
+    _, _, _, residual, ambiguous = _pair_and_fit(rows, rows, g.points, g.points)
+    assert (residual < np.inf).all()
+    assert ambiguous.sum() == 194
     # the lattice re-indexed: its vertex v is the original vertex perm[v]
     perm = np.random.default_rng(0).permutation(len(pts))
     g2 = triangulate(pts[perm])
-    twins = {frozenset(perm[list(s.center_vertices)]): s for s in g2.interior_stars}
-    ambiguous = 0
-    for s in g.interior_stars:
-        try:
-            correspond_vertices(s, s, g.points, g.points)
-        except AmbiguousCorrespondenceError:
-            ambiguous += 1
-            continue
-        # of the tied rotations, the one that fits wins, whichever it is
-        corr = correspond_vertices(s, twins[frozenset(s.center_vertices)], g.points, g2.points)
-        assert perm[list(corr.global_vertices)].tolist() == list(corr.local_vertices)
-    assert ambiguous == 194
+    twin_rows = {frozenset(perm[v[:3]]): v for v in g2.star_table.vertices}
+    rows = rows[~ambiguous]
+    twins = np.array([twin_rows[frozenset(v[:3].tolist())] for v in rows])
+    # of the tied rotations, the one that fits wins, whichever it is
+    paired, _, _, residual, ambiguous = _pair_and_fit(rows, twins, g.points, g2.points)
+    assert (residual < np.inf).all() and not ambiguous.any()
+    np.testing.assert_array_equal(perm[paired], rows)
     window = pts[np.hypot(*(pts - pts.mean(axis=0)).T) <= 12.0]
     with pytest.raises(InsufficientMatchesError) as ei:
         localize(triangulate(window), g)
@@ -309,9 +329,9 @@ def test_lattice_rotations_tie():
 def pair_and_fit_reference(local_ids, global_ids, points_local, points_global):
     """_pair_and_fit's outputs, one candidate row and one rotation at a time.
 
-    Every rotation of the corner order is fitted by estimate_transform;
-    rotations whose center-edge pairs are not tied with the best length
-    difference then count as unfitted.
+    Every rotation of the corner order is fitted by _fit on a row of its
+    own; rotations whose center-edge pairs are not tied with the best
+    length difference then count as unfitted.
     """
     out = []
     for lids, gids in zip(local_ids.tolist(), global_ids.tolist()):
@@ -324,12 +344,10 @@ def pair_and_fit_reference(local_ids, global_ids, points_local, points_global):
         fits = []
         for o in range(3):
             paired = [gids[(c + o) % 3 + apex] for apex in (0, 3) for c in range(3)]
-            corr = Correspondence(None, None, tuple(lids), tuple(paired))
-            try:
-                est = estimate_transform(corr, points_local, points_global)
-                residual, theta, t = est.residual, est.transform.theta, est.transform.t
-            except DegenerateStarError:
-                residual, theta, t = math.inf, math.nan, np.full(2, math.nan)
+            theta, t, residual = fit_one(lids, paired, points_local, points_global)
+            theta = normalize_angle(float(theta))
+            if residual == math.inf:
+                theta, t = math.nan, np.full(2, math.nan)
             fits.append((residual if o in tied else math.inf, o, paired, theta, t))
         ranked = sorted(fits, key=lambda fit: fit[:2])
         ambiguous = len(tied) > 1 and ranked[1][0] - ranked[0][0] <= 1e-6
@@ -500,12 +518,14 @@ def test_irls_step_is_weighted_procrustes(monkeypatch):
 
 def test_verification_residual_matches_definition():
     g = make_graph(14)
-    s = g.interior_stars[0]
+    ids = np.array(g.interior_stars[0].vertex_ids())
     pts2 = g.points + [1.0, 0.0]
-    corr = correspond_vertices(s, s, g.points, pts2)
-    T = RigidTransform2D(0.0, np.zeros(2))  # leaves a 1 m gap per vertex
-    r = verification_residual(T, [corr], g.points, pts2)
+    identity = (0.0, 0.0, 0.0)  # leaves a 1 m gap per vertex
+    r = _residual(identity, *_unique_pairs(ids, ids, g.points, pts2))
     assert math.isclose(r, 6.0, rel_tol=1e-12)
+    # the same six pairs held by two matches count twice
+    r = _residual(identity, *_unique_pairs(np.tile(ids, 2), np.tile(ids, 2), g.points, pts2))
+    assert math.isclose(r, 12.0, rel_tol=1e-12)
 
 
 def make_instance(seed, n=60, extent=70.0, window=35.0, noise=0.0):
@@ -574,27 +594,25 @@ def test_localize_argmin_contract():
     g_map, g_loc, _ = make_instance(19, noise=0.03)
     res = localize(g_loc, g_map)
     for corr in res.correspondences:
-        alt = verification_residual(
-            corr.transform, res.correspondences, g_loc.points, g_map.points
-        )
+        alt = stacked_residual(corr.transform, res.correspondences, g_loc.points, g_map.points)
         assert res.residual <= alt + 1e-9
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.03])
 def test_accepted_fits_match_single_pair_path(noise):
-    """localize's batched fits equal the public one-pair calls, bit for bit."""
+    """localize's batched fits equal one-row _pair_and_fit calls, bit for bit."""
     checked = 0
     for seed in (40, 41, 42, 43):
         g_map, g_loc, _ = make_instance(seed, n=120, extent=90.0, window=50.0, noise=noise)
         for corr in localize(g_loc, g_map).correspondences:
-            pts = (g_loc.points, g_map.points)
-            one = correspond_vertices(corr.star_local, corr.star_global, *pts)
-            one = estimate_transform(one, *pts)
-            assert one.local_vertices == corr.local_vertices
-            assert one.global_vertices == corr.global_vertices
-            assert one.transform.theta == corr.transform.theta
-            np.testing.assert_array_equal(one.transform.t, corr.transform.t)
-            assert one.residual == corr.residual
+            one = pair_one(corr.star_local, corr.star_global, g_loc.points, g_map.points)
+            paired, theta, t, residual, ambiguous = one
+            assert corr.star_local.vertex_ids() == corr.local_vertices
+            assert tuple(paired.tolist()) == corr.global_vertices
+            assert normalize_angle(float(theta)) == corr.transform.theta
+            np.testing.assert_array_equal(t, corr.transform.t)
+            assert float(residual) == corr.residual
+            assert not ambiguous
             checked += 1
     assert checked >= 40
 
@@ -694,7 +712,7 @@ def test_localize_edge_lengths_preserved():
     res = localize(g_loc, g_map)
     assert res.match_count >= 1
     for corr in res.correspondences:
-        m = corr.mapping()
+        m = dict(zip(corr.local_vertices, corr.global_vertices))
         tris = [corr.star_local.center, *corr.star_local.neighbors]
         for t in tris:
             tri = g_loc.triangles[t]
@@ -1069,11 +1087,18 @@ def kept_correspondences(res):
     return [res.correspondences[i] for i in kept]
 
 
+def pair_ids(corrs):
+    """(local ids, map ids) of every vertex pair of corrs, in order, duplicates included."""
+    return tuple(
+        np.array([i for c in corrs for i in getattr(c, side)], dtype=np.intp)
+        for side in ("local_vertices", "global_vertices")
+    )
+
+
 def stacked_residual(pose, corrs, points_local, points_map):
     """Summed pair distance under pose over every vertex pair of corrs, duplicates included."""
-    vl = points_local[[i for c in corrs for i in c.local_vertices]]
-    vg = points_map[[j for c in corrs for j in c.global_vertices]]
-    return float(np.hypot(*(pose.apply(vl) - vg).T).sum())
+    li, gi = pair_ids(corrs)
+    return float(np.hypot(*(pose.apply(points_local[li]) - points_map[gi]).T).sum())
 
 
 @pytest.mark.parametrize(
@@ -1095,7 +1120,8 @@ def test_residual_sums_stacked_pairs(make):
     assert sum(counts.values()) > len(counts)
     want = stacked_residual(res.pose, kept, g_loc.points, g_map.points)
     assert math.isclose(res.residual, want, rel_tol=1e-12)
-    got = verification_residual(res.pose, kept, g_loc.points, g_map.points)
+    zl, zg, m = _unique_pairs(*pair_ids(kept), g_loc.points, g_map.points)
+    got = _residual((res.pose.theta, *res.pose.t), zl, zg, m)
     assert math.isclose(got, want, rel_tol=1e-12)
 
 
@@ -1115,11 +1141,7 @@ def test_residual_across_the_angle_seam():
     assert abs(normalize_angle(res.pose.theta - truth.theta)) < 1e-2
     want = stacked_residual(res.pose, kept, g_loc.points, g_map.points)
     assert math.isclose(res.residual, want, rel_tol=1e-12)
-    li, gi = (
-        np.array([i for c in kept for i in getattr(c, side)])
-        for side in ("local_vertices", "global_vertices")
-    )
-    zl, zg, m = _unique_pairs(li, gi, g_loc.points, g_map.points)
+    zl, zg, m = _unique_pairs(*pair_ids(kept), g_loc.points, g_map.points)
     for theta in res.pose.theta + np.array([-TWO_PI, 0.0, TWO_PI]):
         got = _residual((theta, *res.pose.t), zl, zg, m)
         assert math.isclose(got, want, rel_tol=1e-12)
@@ -1134,11 +1156,7 @@ def test_local_vertex_with_two_map_partners_stays_two_pairs():
     counts = pair_counts(kept)
     partners = Counter(i for i, _ in counts)
     assert max(partners.values()) > 1
-    li, gi = (
-        np.array([i for c in kept for i in getattr(c, side)])
-        for side in ("local_vertices", "global_vertices")
-    )
-    got = _unique_pairs(li, gi, g_loc.points, g_map.points)
+    got = _unique_pairs(*pair_ids(kept), g_loc.points, g_map.points)
     for a, b in zip(got, unique_pairs_oracle(kept, g_loc.points, g_map.points), strict=True):
         np.testing.assert_array_equal(a, b)
     assert len(got[2]) == len(counts) > len(partners)
