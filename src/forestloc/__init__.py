@@ -20,7 +20,6 @@ from .errors import (
 )
 from .geometry import RigidTransform2D, load_xyz, normalize_angle, save_xyz
 from .matching import (
-    Correspondence,
     LocalizationResult,
     MatchParams,
     OracleResult,
@@ -60,7 +59,6 @@ __all__ = [
     "BenchmarkConfig",
     "BenchmarkDetail",
     "BenchmarkRow",
-    "Correspondence",
     "DegeneratePointSetError",
     "DTGraph",
     "EmptyCloudError",

@@ -140,6 +140,7 @@ def _cmd_localize(args) -> int:
         "residual_m": result.residual,
         "matches": result.match_count,
         "candidates": result.candidate_count,
+        "irls_steps": result.irls_steps,
         "timings": result.elapsed,
     }
     if args.json:
@@ -150,6 +151,7 @@ def _cmd_localize(args) -> int:
         print(f"residual_m: {result.residual:.6f}")
         print(f"matches: {result.match_count}")
         print(f"candidates: {result.candidate_count}")
+        print(f"irls_steps: {result.irls_steps}")
         print(
             "timings: "
             + " ".join(f"{k}={v:.4f}s" for k, v in result.elapsed.items())

@@ -104,11 +104,6 @@ class TriangleStar:
         feats.flags.writeable = False
         object.__setattr__(self, "features", feats)
 
-    def vertex_ids(self) -> tuple:
-        """The 6 star vertices in pairing order, as in a StarTable row."""
-        apex = dict(zip(self.opposite_corners, self.apex_vertices))
-        return self.center_vertices + tuple(apex[c] for c in range(3))
-
 
 class StarTable(NamedTuple):
     """The interior stars of a graph, one row per star.
@@ -197,7 +192,7 @@ class DTGraph:
 
     @property
     def star_features(self) -> np.ndarray:
-        """(S, 8) feature matrix of star_table, rows aligned with interior_stars."""
+        """(S, 8) feature matrix of star_table, one row per star_table row."""
         return self.star_table.features
 
     def star(self, row: int) -> TriangleStar:

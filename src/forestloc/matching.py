@@ -9,9 +9,9 @@ star vertices (the most-similar center edge fixes a rotation of the CCW
 corner order, and the neighbor apexes follow the shared edges), and fit
 a rigid transform per candidate and tied rotation from the
 centered-vector rotation candidates.  One call pairs
-and fits every candidate, and matches stay rows of aligned arrays
-through verification and into the result; its Correspondence records are
-built on the first read of LocalizationResult.correspondences.
+and fits every candidate, and matches are rows of aligned arrays from
+the star tables through verification and into the result, one row per
+matched local star; the exhaustive test oracle returns the same arrays.
 Verification scores every surviving candidate transform (plus their
 componentwise median) on the summed pair residual of all matched
 vertices in one call and polishes the best one by iteratively
@@ -31,13 +31,12 @@ import cmath
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import permutations
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .dtgraph import DTGraph, TriangleDescriptor, TriangleStar, log_star_features
+from .dtgraph import DTGraph, TriangleDescriptor, log_star_features
 from .errors import InsufficientMatchesError, NoOverlapError, SizeCapError
 from .geometry import TWO_PI, RigidTransform2D
 
@@ -77,50 +76,33 @@ class MatchParams:
 
 
 @dataclass(frozen=True)
-class Correspondence:
-    """A matched star pair with its 6-vertex bijection.
-
-    local_vertices[i] pairs with global_vertices[i]; the first three are
-    the center triangles' corners, the last three the neighbor apexes.
-    transform and residual are the pair's own rigid fit (see _fit).
-    """
-
-    star_local: TriangleStar
-    star_global: TriangleStar
-    local_vertices: tuple
-    global_vertices: tuple
-    transform: RigidTransform2D
-    residual: float
-
-
-@dataclass(frozen=True)
 class LocalizationResult:
     """The pose of the local frame in the map frame, and how it was found.
 
     residual: summed pair distance under pose, over the vertex pairs of
-        the correspondences that the MAD filter keeps; each distinct
-        (local, map) vertex pair counts once per kept correspondence
-        holding it, and is summed once with that multiplicity.
+        the matches that the MAD filter keeps; each distinct (local, map)
+        vertex pair counts once per kept match holding it, and is summed
+        once with that multiplicity.
     candidate_count: tolerance-passing (local, map) star pairs tried.
+    irls_steps: reweighting steps the verification solve took; it stops
+        at _IRLS_MAX_ITER (2,000) if it has not converged by then.
     elapsed: seconds per stage, keyed "stars", "matching", "verification",
         and "total".
 
     The accepted matches, one per matched local star (match_count of
-    them, in star order, before the MAD filter), are kept as aligned
-    arrays: local_rows and map_rows index the two graphs' star tables,
-    paired holds the map vertex ids paired with the local star's
-    vertices, and thetas, translations and residuals its own fit.  The
-    correspondences property builds their Correspondence records on its
-    first read and returns the same tuple after.
+    them, in star order, before the MAD filter), are aligned arrays:
+    local_rows and map_rows index the two graphs' star tables, paired
+    holds the map vertex ids paired with the local star's vertices (the
+    local graph's star_table.vertices row), and thetas, translations and
+    residuals the pair's own rigid fit (see _fit).
     """
 
     pose: RigidTransform2D
     residual: float
     match_count: int
     candidate_count: int
+    irls_steps: int
     elapsed: dict
-    graph_local: DTGraph = field(repr=False, compare=False)
-    graph_map: DTGraph = field(repr=False, compare=False)
     local_rows: np.ndarray = field(repr=False, compare=False)
     map_rows: np.ndarray = field(repr=False, compare=False)
     paired: np.ndarray = field(repr=False, compare=False)  # (match_count, 6)
@@ -128,35 +110,20 @@ class LocalizationResult:
     translations: np.ndarray = field(repr=False, compare=False)  # (match_count, 2)
     residuals: np.ndarray = field(repr=False, compare=False)
 
-    @cached_property
-    def correspondences(self) -> tuple:
-        """Every accepted correspondence, with its own transform and residual."""
-        vertices = self.graph_local.star_table.vertices
-        return tuple(
-            Correspondence(
-                star_local=self.graph_local.star(lrow),
-                star_global=self.graph_map.star(mrow),
-                local_vertices=tuple(vertices[lrow].tolist()),
-                global_vertices=tuple(paired.tolist()),
-                transform=RigidTransform2D(float(theta), t),
-                residual=float(residual),
-            )
-            for lrow, mrow, paired, theta, t, residual in zip(
-                self.local_rows,
-                self.map_rows,
-                self.paired,
-                self.thetas,
-                self.translations,
-                self.residuals,
-            )
-        )
-
 
 @dataclass(frozen=True)
 class OracleResult:
-    correspondences: tuple
+    """brute_force_match_oracle's pose and residual, with its matches as
+    the same six arrays as a LocalizationResult."""
+
     pose: RigidTransform2D
     residual: float
+    local_rows: np.ndarray = field(repr=False, compare=False)
+    map_rows: np.ndarray = field(repr=False, compare=False)
+    paired: np.ndarray = field(repr=False, compare=False)
+    thetas: np.ndarray = field(repr=False, compare=False)
+    translations: np.ndarray = field(repr=False, compare=False)
+    residuals: np.ndarray = field(repr=False, compare=False)
 
 
 def dissimilarity(d1: TriangleDescriptor, d2: TriangleDescriptor) -> float:
@@ -437,21 +404,20 @@ def localize(
     seeds[:, 0] = np.mod(seeds[:, 0], TWO_PI)
     pair_ids = (local.vertices[lrow[kept]].ravel(), paired[kept].ravel())
     zl, zg, m = _unique_pairs(*pair_ids, graph_local.points, graph_map.points)
-    beta, x, y, residual_sum, _ = _verify(zl, zg, m, seeds)
+    beta, x, y, residual_sum, steps = _verify(zl, zg, m, seeds)
     t_verify = time.perf_counter()
     return LocalizationResult(
         pose=RigidTransform2D(beta, np.array([x, y])),
         residual=residual_sum,
         match_count=len(accepted),
         candidate_count=len(lrow),
+        irls_steps=steps,
         elapsed={
             "stars": t_stars - t_start,
             "matching": t_match - t_stars,
             "verification": t_verify - t_match,
             "total": t_verify - t_start,
         },
-        graph_local=graph_local,
-        graph_map=graph_map,
         local_rows=lrow[accepted],
         map_rows=mrow[accepted],
         paired=paired[accepted],
@@ -471,37 +437,34 @@ def brute_force_match_oracle(
     in one call; a bijection with no fit is skipped), keeps the per-star
     best by (residual, global center, bijection) among tolerance-passing
     global stars, and polishes the joint objective by Nelder-Mead from
-    every candidate transform.
+    every candidate transform.  The matches come back as localize's
+    arrays, one row per matched local star, in star order.
     """
     params = params or MatchParams()
     if graph_local.n_vertices > 50 or graph_map.n_vertices > 50:
         raise SizeCapError("size cap exceeded")
     perms = np.array(list(permutations(range(3))))
     columns = np.hstack([perms, perms + 3])  # row p: corners, then apexes, permuted by p
-    global_stars = graph_map.interior_stars
+    local, table = graph_local.star_table, graph_map.star_table
     accepted = []
-    for ls in graph_local.interior_stars:
-        local_ids = ls.vertex_ids()
-        zl = np.tile(_complex(graph_local.points[list(local_ids)]), (len(perms), 1))
+    for lrow, (local_ids, f) in enumerate(zip(local.vertices, local.features)):
+        zl = np.tile(_complex(graph_local.points[local_ids]), (len(perms), 1))
+        passing = ~(np.abs(table.features - f) / f > params.feature_tolerance).any(axis=1)
         best = None
-        for gs in global_stars:
-            rel = np.abs(gs.features - ls.features) / ls.features
-            if (rel > params.feature_tolerance).any():
-                continue
-            global_ids = np.array(gs.vertex_ids())[columns]
+        for mrow in np.flatnonzero(passing).tolist():
+            global_ids = table.vertices[mrow][columns]
             theta, t, residual = _fit(zl, _complex(graph_map.points[global_ids]))
             for pi in np.flatnonzero(residual < np.inf).tolist():
-                key = (float(residual[pi]), gs.center, pi)
+                key = (float(residual[pi]), int(table.centers[mrow]), pi)
                 if best is None or key < best[0]:
-                    transform = RigidTransform2D(float(theta[pi]), t[pi])
-                    paired = tuple(global_ids[pi].tolist())
-                    best = (key, Correspondence(ls, gs, local_ids, paired, transform, key[0]))
+                    best = (key, (lrow, mrow, global_ids[pi], theta[pi], t[pi], residual[pi]))
         if best is not None:
             accepted.append(best[1])
     if not accepted:
         raise NoOverlapError("no overlap")
-    vl = graph_local.points[[i for c in accepted for i in c.local_vertices]]
-    vg = graph_map.points[[j for c in accepted for j in c.global_vertices]]
+    local_rows, map_rows, paired, thetas, translations, residuals = map(np.array, zip(*accepted))
+    vl = graph_local.points[local.vertices[local_rows].ravel()]
+    vg = graph_map.points[paired.ravel()]
 
     def objective(p):
         cb, sb = math.cos(p[0]), math.sin(p[0])
@@ -509,20 +472,11 @@ def brute_force_match_oracle(
         ry = vl[:, 0] * sb + vl[:, 1] * cb + p[2] - vg[:, 1]
         return float(np.sqrt(rx * rx + ry * ry).sum())
 
-    seeds = [
-        (c.transform.theta, float(c.transform.t[0]), float(c.transform.t[1]))
-        for c in accepted
-    ]
-    seeds.append(
-        (
-            float(np.median([s[0] for s in seeds])),
-            float(np.median([s[1] for s in seeds])),
-            float(np.median([s[2] for s in seeds])),
-        )
-    )
+    seeds = np.column_stack([thetas, translations])
+    seeds = np.vstack([seeds, np.median(seeds, axis=0)])
     best = None
-    for seed in seeds:
-        direct = (objective(seed),) + tuple(seed)
+    for seed in seeds.tolist():
+        direct = (objective(seed), *seed)
         if best is None or direct < best:
             best = direct
         result = minimize(
@@ -534,7 +488,13 @@ def brute_force_match_oracle(
         refined = (float(result.fun), float(result.x[0]), float(result.x[1]), float(result.x[2]))
         if refined < best:
             best = refined
-    pose = RigidTransform2D(best[1], np.array([best[2], best[3]]))
     return OracleResult(
-        correspondences=tuple(accepted), pose=pose, residual=best[0]
+        pose=RigidTransform2D(best[1], np.array([best[2], best[3]])),
+        residual=best[0],
+        local_rows=local_rows,
+        map_rows=map_rows,
+        paired=paired,
+        thetas=thetas,
+        translations=translations,
+        residuals=residuals,
     )

@@ -97,8 +97,8 @@ class BenchmarkConfig:
             raise ValueError("frames_list must not be empty")
         if any(f < 1 for f in frames):
             raise ValueError("frame counts must be positive")
-        if list(frames) != sorted(frames):
-            raise ValueError("frames_list must be ascending")
+        if any(b <= a for a, b in zip(frames, frames[1:])):
+            raise ValueError("frames_list must be strictly ascending")
         if self.sites < 1:
             raise ValueError("sites must be positive")
         _check_noise(self.noise)

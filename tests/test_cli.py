@@ -162,11 +162,12 @@ def test_localize_from_graph(scene, capsys):
         ["localize", "--map", str(base / "map.json"), "--local", str(base / "local.json")],
     )
     assert code == EXIT_OK
-    assert set(payload) == {"pose", "residual_m", "matches", "candidates", "timings"}
+    assert set(payload) == {"pose", "residual_m", "matches", "candidates", "irls_steps", "timings"}
     assert abs(payload["pose"]["x"] - pose.t[0]) < 1e-3
     assert abs(payload["pose"]["y"] - pose.t[1]) < 1e-3
     assert abs(payload["pose"]["theta_deg"] - math.degrees(pose.theta)) < 0.01
     assert payload["matches"] >= 1
+    assert payload["irls_steps"] >= 0
     assert set(payload["timings"]) == {"stars", "matching", "verification", "total"}
 
 
@@ -199,7 +200,7 @@ def test_localize_text_output(scene, capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert out.startswith("pose: x=")
-    assert "residual_m:" in out and "matches:" in out
+    assert "residual_m:" in out and "matches:" in out and "irls_steps:" in out
 
 
 def test_localize_insufficient_matches(scene, capsys):
@@ -389,8 +390,9 @@ def test_benchmark_rejects_non_finite_settings(tmp_path, capsys, args, message):
 
 
 def test_benchmark_bad_frames(tmp_path, capsys):
-    code = main(
-        ["benchmark", "--out", str(tmp_path), "--sites", "1", "--frames", "3,1"]
-    )
-    assert code == EXIT_ERROR
-    assert "ascending" in capsys.readouterr().err
+    for frames in ("3,1", "1,1"):
+        out = tmp_path / frames
+        code = main(["benchmark", "--out", str(out), "--sites", "1", "--frames", frames])
+        assert code == EXIT_ERROR
+        assert "ascending" in capsys.readouterr().err
+        assert not out.exists()

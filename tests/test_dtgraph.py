@@ -249,10 +249,10 @@ def test_random_graph_star_predicates():
     g = triangulate(rng.uniform(0, 80, (200, 2)))
     stars = g.interior_stars
     assert sorted(s.center for s in stars) == enumerate_stars_oracle(g)
-    for s in stars:
+    for s, ids in zip(stars, g.star_table.vertices.tolist(), strict=True):
         assert (g.neighbors[s.center] >= 0).all()
-        assert not (set(s.vertex_ids()) & g.hull_vertices)
-        assert len(set(s.vertex_ids())) == 6
+        assert not (set(ids) & g.hull_vertices)
+        assert len(set(ids)) == 6
 
 
 def test_star_features_layout():

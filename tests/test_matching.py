@@ -44,6 +44,8 @@ from forestloc.matching import (
 from forestloc.simulator import ForestSpec, generate_forest
 
 UNIT_L = (2.0 + math.sqrt(2.0)) ** 2
+# The six aligned arrays that hold a result's matches, one row per matched local star.
+MATCH_ARRAYS = ("local_rows", "map_rows", "paired", "thetas", "translations", "residuals")
 
 
 def make_graph(seed, n=80, extent=80.0):
@@ -56,18 +58,19 @@ def as_complex(v):
     return v[..., 0] + 1j * v[..., 1]
 
 
-def star_by_center_ids(graph, vertex_ids):
-    """Find the interior star whose center triangle uses these vertex ids."""
+def star_row(graph, vertex_ids):
+    """The star_table row whose center triangle uses these vertex ids, or None."""
     want = set(vertex_ids)
-    for s in graph.interior_stars:
-        if set(s.center_vertices) == want:
-            return s
+    for row, center in enumerate(graph.star_table.vertices[:, :3].tolist()):
+        if set(center) == want:
+            return row
     return None
 
 
-def pair_one(star_local, star_global, points_local, points_global):
-    """_pair_and_fit on one candidate row: (paired ids, theta, t, residual, ambiguous)."""
-    rows = (np.array([star.vertex_ids()]) for star in (star_local, star_global))
+def pair_one(ids_local, ids_global, points_local, points_global):
+    """_pair_and_fit on one candidate, two star_table vertex rows:
+    (paired ids, theta, t, residual, ambiguous)."""
+    rows = (np.array([ids_local]), np.array([ids_global]))
     return tuple(column[0] for column in _pair_and_fit(*rows, points_local, points_global))
 
 
@@ -127,95 +130,84 @@ def test_dissimilarity_rigid_invariance():
         assert d <= 1e-9 * max(a1[0], l1[0])
 
 
-def candidate_stars(graph_local, star, graph, params=MatchParams()):
-    """The interior stars of graph that pass the candidate test for star.
-
-    star is one of graph_local's interior stars.
-    """
+def candidate_rows(graph_local, row, graph, params=MatchParams()):
+    """The star_table rows of graph that pass the candidate test for
+    graph_local's star_table row row, in candidate order."""
     lrow, mrow = _candidates(graph_local, graph, params.feature_tolerance)
-    row = np.flatnonzero(graph_local.star_table.centers == star.center)[0]
-    return [graph.interior_stars[i] for i in mrow[lrow == row]]
+    return mrow[lrow == row].tolist()
 
 
 def test_candidates_identity_first():
     g = make_graph(2)
-    stars = g.interior_stars
-    target = stars[len(stars) // 2]
-    cands = candidate_stars(g, target, g)
-    assert cands[0].center == target.center
+    target = len(g.star_features) // 2
+    assert candidate_rows(g, target, g)[0] == target
 
 
 def test_candidates_scaled_star_excluded():
     g = make_graph(3)
     g2 = triangulate(g.points * math.sqrt(2.0))  # doubles every A and l
-    s = g.interior_stars[0]
-    scaled = star_by_center_ids(g2, s.center_vertices)
+    scaled = star_row(g2, g.star_table.vertices[0, :3])
     assert scaled is not None
-    cands = candidate_stars(g2, scaled, g)
-    assert all(c.center != s.center for c in cands)
+    assert 0 not in candidate_rows(g2, scaled, g)
 
 
 def test_candidates_tolerance_bound():
     """Every candidate is componentwise within the relative tolerance."""
     g = make_graph(4, n=150)
-    stars = g.interior_stars
+    features = g.star_features
     params = MatchParams(feature_tolerance=0.05)
-    for s in stars[:10]:
-        for c in candidate_stars(g, s, g, params):
-            assert (np.abs(c.features - s.features) <= 0.05 * s.features + 1e-12).all()
+    for row, f in enumerate(features[:10]):
+        for c in candidate_rows(g, row, g, params):
+            assert (np.abs(features[c] - f) <= 0.05 * f + 1e-12).all()
 
 
 def test_candidates_capped_and_sorted():
     g = make_graph(5, n=200)
-    stars = g.interior_stars
+    features = g.star_features
     params = MatchParams(feature_tolerance=0.8)
-    s = stars[0]
-    cands = candidate_stars(g, s, g, params)
+    cands = candidate_rows(g, 0, g, params)
     assert len(cands) == _MAX_CANDIDATES_PER_STAR
-    devs = [np.abs((c.features - s.features) / s.features).sum() for c in cands]
-    assert devs == sorted(devs)
+    devs = np.abs((features[cands] - features[0]) / features[0]).sum(axis=1)
+    assert devs.tolist() == sorted(devs)
 
 
 def test_candidates_perturbed_original_found():
     """Original star stays a candidate after sigma=5cm landmark noise."""
     rng = np.random.default_rng(6)
     pts = rng.uniform(0, 120, (60, 2))  # ~8-15 m spacing keeps triangles large
-    g = make_graph_from = triangulate(pts)
-    stars = g.interior_stars
-    target = stars[0]
+    g = triangulate(pts)
     found = 0
     for seed in range(100):
         noise_rng = np.random.default_rng(1000 + seed)
         noisy = triangulate(pts + noise_rng.normal(0, 0.05, pts.shape))
-        s2 = star_by_center_ids(noisy, target.center_vertices)
-        if s2 is None:
+        row = star_row(noisy, g.star_table.vertices[0, :3])
+        if row is None:
             continue  # noise flipped the triangulation here
-        cands = candidate_stars(noisy, s2, g)
-        if any(c.center == target.center for c in cands):
+        if 0 in candidate_rows(noisy, row, g):
             found += 1
     assert found >= 95
 
 
 def test_correspond_translation():
     g = make_graph(8)
-    s = g.interior_stars[0]
+    ids = g.star_table.vertices[0]
     pts2 = g.points + [10.0, 0.0]
-    paired, _, _, residual, ambiguous = pair_one(s, s, g.points, pts2)
-    assert tuple(paired.tolist()) == s.vertex_ids()
+    paired, _, _, residual, ambiguous = pair_one(ids, ids, g.points, pts2)
+    assert paired.tolist() == ids.tolist()
     assert residual < np.inf and not ambiguous
 
 
 def test_correspond_rotation():
     g = make_graph(9)
-    s = g.interior_stars[1]
+    ids = g.star_table.vertices[1]
     T = RigidTransform2D(math.pi / 2, np.zeros(2))
-    paired, _, _, residual, ambiguous = pair_one(s, s, g.points, T.apply(g.points))
-    assert tuple(paired.tolist()) == s.vertex_ids()
+    paired, _, _, residual, ambiguous = pair_one(ids, ids, g.points, T.apply(g.points))
+    assert paired.tolist() == ids.tolist()
     assert residual < np.inf and not ambiguous
     # matched center-edge lengths preserved
-    m = dict(zip(s.vertex_ids(), paired.tolist()))
+    m = dict(zip(ids.tolist(), paired.tolist()))
     for i, j in ((0, 1), (1, 2), (2, 0)):
-        a, b = s.center_vertices[i], s.center_vertices[j]
+        a, b = ids[i], ids[j]
         la = np.linalg.norm(g.points[a] - g.points[b])
         lb = np.linalg.norm(T.apply(g.points)[m[a]] - T.apply(g.points)[m[b]])
         assert abs(la - lb) <= 1e-9
@@ -234,15 +226,17 @@ def test_correspond_mirror_never_rigid():
     moved = triangulate(T.apply(g.points))
     mirrored = triangulate(g.points * [-1.0, 1.0])
     checked = 0
-    for s in g.interior_stars:
-        twin = star_by_center_ids(mirrored, s.center_vertices)
-        same = star_by_center_ids(moved, s.center_vertices)
+    for ids, f in zip(g.star_table.vertices, g.star_features):
+        twin = star_row(mirrored, ids[:3])
+        same = star_row(moved, ids[:3])
         if twin is None or same is None:
             continue
-        assert np.allclose(twin.features, s.features, rtol=1e-9)
-        _, _, _, residual, ambiguous = pair_one(s, twin, g.points, mirrored.points)
+        assert np.allclose(mirrored.star_features[twin], f, rtol=1e-9)
+        twin_ids = mirrored.star_table.vertices[twin]
+        _, _, _, residual, ambiguous = pair_one(ids, twin_ids, g.points, mirrored.points)
         assert residual > 0.1 and not ambiguous
-        _, _, _, residual, ambiguous = pair_one(s, same, g.points, moved.points)
+        same_ids = moved.star_table.vertices[same]
+        _, _, _, residual, ambiguous = pair_one(ids, same_ids, g.points, moved.points)
         assert residual < 1e-9 and not ambiguous
         checked += 1
     assert checked >= 20
@@ -250,7 +244,7 @@ def test_correspond_mirror_never_rigid():
 
 def test_estimate_identity():
     g = make_graph(11)
-    ids = g.interior_stars[0].vertex_ids()
+    ids = g.star_table.vertices[0]
     theta, t, residual = fit_one(ids, ids, g.points, g.points.copy())
     assert abs(theta) < 1e-12
     np.testing.assert_allclose(t, [0.0, 0.0], atol=1e-12)
@@ -260,8 +254,7 @@ def test_estimate_identity():
 def test_estimate_rotation_about_centroid():
     """30 degrees about the star centroid plus (5, -2) is recovered exactly."""
     g = make_graph(12)
-    s = g.interior_stars[2]
-    ids = list(s.vertex_ids())
+    ids = g.star_table.vertices[2]
     centroid = g.points[ids].mean(axis=0)
     theta = math.radians(30.0)
     R = RigidTransform2D(theta, np.zeros(2))
@@ -281,10 +274,10 @@ def test_unfittable_pair_has_infinite_residual():
     vector is zero and no rotation candidate is left.
     """
     g = make_graph(13)
-    s = g.interior_stars[0]
+    ids = g.star_table.vertices[0]
     collapsed = np.tile(g.points[:1], (g.n_vertices, 1))
-    assert fit_one(s.vertex_ids(), s.vertex_ids(), g.points, collapsed)[2] == math.inf
-    _, _, _, residual, ambiguous = pair_one(s, s, g.points, collapsed)
+    assert fit_one(ids, ids, g.points, collapsed)[2] == math.inf
+    _, _, _, residual, ambiguous = pair_one(ids, ids, g.points, collapsed)
     assert residual == math.inf and not ambiguous
 
 
@@ -518,7 +511,7 @@ def test_irls_step_is_weighted_procrustes(monkeypatch):
 
 def test_verification_residual_matches_definition():
     g = make_graph(14)
-    ids = np.array(g.interior_stars[0].vertex_ids())
+    ids = g.star_table.vertices[0]
     pts2 = g.points + [1.0, 0.0]
     identity = (0.0, 0.0, 0.0)  # leaves a 1 m gap per vertex
     r = _residual(identity, *_unique_pairs(ids, ids, g.points, pts2))
@@ -547,7 +540,7 @@ def make_instance(seed, n=60, extent=70.0, window=35.0, noise=0.0):
         g_loc = triangulate(local)
     except Exception:
         return make_instance(seed + 10_000, n, extent, window, noise)
-    if not g_loc.interior_stars:
+    if len(g_loc.star_features) == 0:
         return make_instance(seed + 10_000, n, extent, window, noise)
     return g_map, g_loc, T
 
@@ -593,8 +586,9 @@ def test_localize_argmin_contract():
     """Final residual never exceeds any accepted candidate transform's."""
     g_map, g_loc, _ = make_instance(19, noise=0.03)
     res = localize(g_loc, g_map)
-    for corr in res.correspondences:
-        alt = stacked_residual(corr.transform, res.correspondences, g_loc.points, g_map.points)
+    ids = pair_ids(g_loc, res)
+    for theta, t in zip(res.thetas, res.translations):
+        alt = stacked_residual(RigidTransform2D(theta, t), ids, g_loc.points, g_map.points)
         assert res.residual <= alt + 1e-9
 
 
@@ -604,68 +598,31 @@ def test_accepted_fits_match_single_pair_path(noise):
     checked = 0
     for seed in (40, 41, 42, 43):
         g_map, g_loc, _ = make_instance(seed, n=120, extent=90.0, window=50.0, noise=noise)
-        for corr in localize(g_loc, g_map).correspondences:
-            one = pair_one(corr.star_local, corr.star_global, g_loc.points, g_map.points)
-            paired, theta, t, residual, ambiguous = one
-            assert corr.star_local.vertex_ids() == corr.local_vertices
-            assert tuple(paired.tolist()) == corr.global_vertices
-            assert normalize_angle(float(theta)) == corr.transform.theta
-            np.testing.assert_array_equal(t, corr.transform.t)
-            assert float(residual) == corr.residual
-            assert not ambiguous
+        res = localize(g_loc, g_map)
+        rows = zip(*(getattr(res, name) for name in MATCH_ARRAYS), strict=True)
+        for lrow, mrow, paired, theta, t, residual in rows:
+            ids = (g_loc.star_table.vertices[lrow], g_map.star_table.vertices[mrow])
+            one = pair_one(*ids, g_loc.points, g_map.points)
+            for got, want in zip(one, (paired, theta, t, residual, False)):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
             checked += 1
     assert checked >= 40
 
 
-def star_fields(star):
-    return (
-        star.center,
-        star.neighbors,
-        star.features.tobytes(),
-        star.center_vertices,
-        star.apex_vertices,
-        star.opposite_corners,
-    )
+def pair_ids(graph_local, res, rows=slice(None)):
+    """(local ids, map ids) of every vertex pair of res's matches at rows,
+    in match order, duplicates included."""
+    return graph_local.star_table.vertices[res.local_rows[rows]].ravel(), res.paired[rows].ravel()
 
 
-def test_correspondences_built_on_first_read(monkeypatch):
-    """localize keeps the accepted rows; their records are made when first read."""
-    g_map, g_loc, _ = make_instance(40, n=120, extent=90.0, window=50.0, noise=0.03)
-    made = []
-    real = forestloc.matching.Correspondence
-
-    def spy(*args, **kwargs):
-        made.append(real(*args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(forestloc.matching, "Correspondence", spy)
-    res = localize(g_loc, g_map)
-    assert made == []
-    corrs = res.correspondences
-    assert res.correspondences is corrs
-    assert len(corrs) == len(made) == res.match_count >= 10
-    rows = zip(
-        res.local_rows, res.map_rows, res.paired, res.thetas, res.translations, res.residuals
-    )
-    for corr, (lrow, mrow, paired, theta, t, residual) in zip(corrs, rows, strict=True):
-        star_local, star_global = g_loc.interior_stars[lrow], g_map.interior_stars[mrow]
-        assert star_fields(corr.star_local) == star_fields(star_local)
-        assert star_fields(corr.star_global) == star_fields(star_global)
-        assert corr.local_vertices == star_local.vertex_ids()
-        assert corr.global_vertices == tuple(int(v) for v in paired)
-        assert corr.transform.theta == normalize_angle(float(theta))
-        assert corr.transform.t.tobytes() == t.tobytes()
-        assert corr.residual == float(residual)
+def pair_counts(ids):
+    """How often each (local id, map id) vertex pair occurs in ids, by a plain count."""
+    return Counter(zip(*(side.tolist() for side in ids)))
 
 
-def pair_counts(corrs):
-    """How often each (local id, map id) vertex pair occurs in corrs, by a plain count."""
-    return Counter(p for c in corrs for p in zip(c.local_vertices, c.global_vertices))
-
-
-def unique_pairs_oracle(corrs, points_local, points_map):
-    """The distinct vertex pairs of corrs in (local id, map id) order: complex (zl, zg, m)."""
-    counts = pair_counts(corrs)
+def unique_pairs_oracle(ids, points_local, points_map):
+    """The distinct vertex pairs of ids in (local id, map id) order: complex (zl, zg, m)."""
+    counts = pair_counts(ids)
     ids = sorted(counts)
     m = np.array([counts[p] for p in ids])
     zl = as_complex(points_local[[i for i, _ in ids]])
@@ -680,10 +637,10 @@ def verify_start_oracle(zl, zg, m, seeds):
 def test_verify_seed_rule(monkeypatch):
     """The lowest (residual, beta, x, y) seed starts the solve, in any seed order."""
     g_map, g_loc, _ = make_instance(40, n=120, extent=90.0, window=50.0, noise=0.03)
-    corrs = localize(g_loc, g_map).correspondences
-    zl, zg, m = unique_pairs_oracle(corrs, g_loc.points, g_map.points)
+    res = localize(g_loc, g_map)
+    zl, zg, m = unique_pairs_oracle(pair_ids(g_loc, res), g_loc.points, g_map.points)
     assert m.max() > 1
-    seeds = np.array([(c.transform.theta % TWO_PI, *c.transform.t) for c in corrs])
+    seeds = np.column_stack([res.thetas % TWO_PI, res.translations])
     start = verify_start_oracle(zl, zg, m, seeds)
     first = np.flatnonzero((seeds == start[1:]).all(axis=1))[0]
     rng = np.random.default_rng(3)
@@ -711,10 +668,10 @@ def test_localize_edge_lengths_preserved():
     g_map, g_loc, _ = make_instance(20)
     res = localize(g_loc, g_map)
     assert res.match_count >= 1
-    for corr in res.correspondences:
-        m = dict(zip(corr.local_vertices, corr.global_vertices))
-        tris = [corr.star_local.center, *corr.star_local.neighbors]
-        for t in tris:
+    for lrow, paired in zip(res.local_rows, res.paired):
+        m = dict(zip(g_loc.star_table.vertices[lrow].tolist(), paired.tolist()))
+        center = g_loc.star_table.centers[lrow]
+        for t in [center, *g_loc.neighbors[center]]:
             tri = g_loc.triangles[t]
             for i in range(3):
                 a, b = int(tri[i]), int(tri[(i + 1) % 3])
@@ -791,9 +748,8 @@ def test_pipeline_matches_oracle():
         except NoOverlapError:
             continue
         assert abs(res.residual - orc.residual) <= 1e-6
-        got = sorted((c.star_local.center, c.star_global.center) for c in res.correspondences)
-        want = sorted((c.star_local.center, c.star_global.center) for c in orc.correspondences)
-        assert got == want
+        for name in MATCH_ARRAYS:
+            assert np.array_equal(getattr(res, name), getattr(orc, name))
         checked += 1
 
 
@@ -1081,23 +1037,15 @@ def test_median_seed_per_component(monkeypatch):
         assert seeds[-1][-1].tobytes() == np.array(want).tobytes()
 
 
-def kept_correspondences(res):
-    """The accepted correspondences the MAD filter keeps for verification."""
-    kept = _mad_filter(res.thetas, res.translations, res.residuals)
-    return [res.correspondences[i] for i in kept]
+def kept_rows(res):
+    """The rows of res's accepted matches that the MAD filter keeps for verification."""
+    return _mad_filter(res.thetas, res.translations, res.residuals)
 
 
-def pair_ids(corrs):
-    """(local ids, map ids) of every vertex pair of corrs, in order, duplicates included."""
-    return tuple(
-        np.array([i for c in corrs for i in getattr(c, side)], dtype=np.intp)
-        for side in ("local_vertices", "global_vertices")
-    )
-
-
-def stacked_residual(pose, corrs, points_local, points_map):
-    """Summed pair distance under pose over every vertex pair of corrs, duplicates included."""
-    li, gi = pair_ids(corrs)
+def stacked_residual(pose, ids, points_local, points_map):
+    """Summed pair distance under pose over every vertex pair of ids = (local ids,
+    map ids), duplicates included."""
+    li, gi = ids
     return float(np.hypot(*(pose.apply(points_local[li]) - points_map[gi]).T).sum())
 
 
@@ -1115,12 +1063,12 @@ def test_residual_sums_stacked_pairs(make):
     """
     g_map, g_loc, _ = make()
     res = localize(g_loc, g_map)
-    kept = kept_correspondences(res)
+    kept = pair_ids(g_loc, res, kept_rows(res))
     counts = pair_counts(kept)
     assert sum(counts.values()) > len(counts)
     want = stacked_residual(res.pose, kept, g_loc.points, g_map.points)
     assert math.isclose(res.residual, want, rel_tol=1e-12)
-    zl, zg, m = _unique_pairs(*pair_ids(kept), g_loc.points, g_map.points)
+    zl, zg, m = _unique_pairs(*kept, g_loc.points, g_map.points)
     got = _residual((res.pose.theta, *res.pose.t), zl, zg, m)
     assert math.isclose(got, want, rel_tol=1e-12)
 
@@ -1135,13 +1083,13 @@ def test_residual_across_the_angle_seam():
     local = truth.inverse().apply(window) + rng.normal(0.0, 0.03, window.shape)
     g_map, g_loc = triangulate(pts), triangulate(local)
     res = localize(g_loc, g_map)
-    kept = kept_correspondences(res)
-    thetas = np.array([c.transform.theta for c in kept])
+    thetas = res.thetas[kept_rows(res)]
     assert (thetas > 3.0).any() and (thetas < -3.0).any()
     assert abs(normalize_angle(res.pose.theta - truth.theta)) < 1e-2
+    kept = pair_ids(g_loc, res, kept_rows(res))
     want = stacked_residual(res.pose, kept, g_loc.points, g_map.points)
     assert math.isclose(res.residual, want, rel_tol=1e-12)
-    zl, zg, m = _unique_pairs(*pair_ids(kept), g_loc.points, g_map.points)
+    zl, zg, m = _unique_pairs(*kept, g_loc.points, g_map.points)
     for theta in res.pose.theta + np.array([-TWO_PI, 0.0, TWO_PI]):
         got = _residual((theta, *res.pose.t), zl, zg, m)
         assert math.isclose(got, want, rel_tol=1e-12)
@@ -1152,11 +1100,11 @@ def test_local_vertex_with_two_map_partners_stays_two_pairs():
     gives two weighted pairs; pairs are merged only when both ids agree."""
     g_map, g_loc, _ = GRID[0]()
     res = localize(g_loc, g_map)
-    kept = kept_correspondences(res)
+    kept = pair_ids(g_loc, res, kept_rows(res))
     counts = pair_counts(kept)
     partners = Counter(i for i, _ in counts)
     assert max(partners.values()) > 1
-    got = _unique_pairs(*pair_ids(kept), g_loc.points, g_map.points)
+    got = _unique_pairs(*kept, g_loc.points, g_map.points)
     for a, b in zip(got, unique_pairs_oracle(kept, g_loc.points, g_map.points), strict=True):
         np.testing.assert_array_equal(a, b)
     assert len(got[2]) == len(counts) > len(partners)
@@ -1184,21 +1132,13 @@ def noisy_recovery_instance(seed):
     return triangulate(pts), triangulate(local)
 
 
-def test_irls_stops_before_its_cap(monkeypatch):
+def test_irls_stops_before_its_cap():
     """No verification solve on noisy instances runs into _IRLS_MAX_ITER.
 
-    _verify reports the steps it took.  Trial 121 of the noisy recovery
-    test takes the most steps of its 200 (803).
+    The result reports the steps its solve took.  Trial 121 of the noisy
+    recovery test takes the most steps of its 200 (803).
     """
     steps = []
-    real = forestloc.matching._verify
-
-    def counting(*args):
-        solved = real(*args)
-        steps[-1] += solved[-1]
-        return solved
-
-    monkeypatch.setattr(forestloc.matching, "_verify", counting)
     instances = [partial(noisy_recovery_instance, seed) for seed in (18, 112, 121, 161)]
     instances += [
         partial(make_instance, seed, n=120, extent=90.0, window=50.0, noise=0.03)
@@ -1206,7 +1146,6 @@ def test_irls_stops_before_its_cap(monkeypatch):
     ]
     for make in instances:
         g_map, g_loc = make()[:2]
-        steps.append(0)
-        localize(g_loc, g_map)
+        steps.append(localize(g_loc, g_map).irls_steps)
     assert 0 < min(steps) and max(steps) < _IRLS_MAX_ITER
     assert max(steps) >= 300  # the slow trials are among them

@@ -79,6 +79,9 @@ def test_benchmark_config_validation():
         BenchmarkConfig(frames_list=())
     with pytest.raises(ValueError):
         BenchmarkConfig(frames_list=(3, 1))
+    for repeated in ((1, 1), (1, 3, 3)):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            BenchmarkConfig(frames_list=repeated)
     with pytest.raises(ValueError):
         BenchmarkConfig(frames_list=(0, 2))
     with pytest.raises(ValueError):
