@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .dtgraph import DTGraph, TriangleDescriptor, log_star_features
 from .errors import InsufficientMatchesError, NoOverlapError, SizeCapError
@@ -440,6 +439,8 @@ def brute_force_match_oracle(
     every candidate transform.  The matches come back as localize's
     arrays, one row per matched local star, in star order.
     """
+    from scipy.optimize import minimize  # here, so that importing forestloc skips it
+
     params = params or MatchParams()
     if graph_local.n_vertices > 50 or graph_map.n_vertices > 50:
         raise SizeCapError("size cap exceeded")

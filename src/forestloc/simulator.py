@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleForestError
-from .geometry import RigidTransform2D
+from .geometry import TWO_PI, RigidTransform2D
 from .trunks import TrunkMap
 
 
@@ -32,6 +32,11 @@ HORIZONTAL_FOV = 210.0  # degrees, centered on the heading
 MAX_RANGE = 100.0  # meters
 ANGULAR_RESOLUTION = 0.2  # degrees between azimuth steps
 MOUNT_HEIGHT = 1.5  # meters
+
+# Angular margin (radians) added to each trunk's azimuth window in
+# _first_hits: a ray this far outside asin(r/d) misses by a gap far larger
+# than the rounding of the ray-circle test, so no hit is ever skipped.
+_WINDOW_PAD = 1e-6
 
 
 def _check_noise(noise) -> None:
@@ -142,6 +147,58 @@ class SimulatedScan:
         object.__setattr__(self, "cloud", c)
 
 
+def _first_hits(forest: Forest, pose: RigidTransform2D, az: np.ndarray):
+    """Horizontal range and trunk index of each azimuth's first hit.
+
+    A trunk at distance d with radius r can only be hit by rays within
+    asin(r/d) of its bearing; with the sensor inside it, asin(1) = pi/2
+    still holds every ray that points toward its center, and no other
+    ray can hit (the hit distance b - sqrt(disc) needs a positive
+    projection b).  Each window is padded by _WINDOW_PAD, far above the
+    rounding of the ray test, and a ray-circle test decides on the
+    (ray, trunk) pairs it lists.  A ray with no hit gets range inf and
+    index -1; on a tie the lower trunk index wins.
+    """
+    n_az = len(az)
+    s2d = np.full(n_az, np.inf)
+    hit_tree = np.full(n_az, -1, dtype=np.intp)
+    if len(forest) == 0:
+        return s2d, hit_tree
+    rel = forest.positions - pose.t
+    d2 = (rel**2).sum(axis=1)
+    near = np.flatnonzero(d2 <= (MAX_RANGE + forest.radii.max()) ** 2)
+    rel, d2, radii = rel[near], d2[near], forest.radii[near]
+    d = np.sqrt(d2)
+    ratio = np.divide(radii, d, out=np.ones_like(d), where=d > radii)
+    half_width = np.arcsin(ratio) + _WINDOW_PAD
+    # the sensor-frame bearing lies in [-2pi, 2pi); it and its copies a turn
+    # either way cover the fan, and windows at most pi/2 + pad wide on each
+    # side of centers a turn apart never list the same ray
+    bearing = np.arctan2(rel[:, 1], rel[:, 0]) - pose.theta
+    res = math.radians(ANGULAR_RESOLUTION)  # ray k sits at az[0] + k * res
+    centers = bearing + TWO_PI * np.array([[-1.0], [0.0], [1.0]])  # (3, n_near)
+    lo = np.ceil((centers - half_width - az[0]) / res).ravel()
+    hi = np.floor((centers + half_width - az[0]) / res).ravel()
+    lo = np.clip(lo, 0, n_az).astype(np.intp)
+    hi = np.clip(hi, -1, n_az - 1).astype(np.intp)
+    count = np.maximum(hi - lo + 1, 0)
+    tree = np.repeat(np.tile(np.arange(len(near)), 3), count)
+    starts = np.repeat(np.cumsum(count) - count, count)
+    ray = np.repeat(lo, count) + np.arange(len(tree)) - starts
+
+    world_az = pose.theta + az
+    b = np.cos(world_az)[ray] * rel[tree, 0] + np.sin(world_az)[ray] * rel[tree, 1]
+    disc = b * b - (d2 - radii**2)[tree]
+    s = b - np.sqrt(np.maximum(disc, 0.0))
+    hit = (disc >= 0.0) & (s > 0.0)
+    ray, tree, s = ray[hit], tree[hit], s[hit]
+    order = np.lexsort((tree, s, ray))
+    rays, first = np.unique(ray[order], return_index=True)
+    s2d[rays] = s[order[first]]
+    hit_tree[rays] = near[tree[order[first]]]
+    return s2d, hit_tree
+
+
 def simulate_scan(
     forest: Forest,
     pose: RigidTransform2D,
@@ -162,31 +219,10 @@ def simulate_scan(
         np.linspace(-VERTICAL_FOV / 2.0, VERTICAL_FOV / 2.0, CHANNELS)
     )
 
-    # horizontal prepass: first cylinder hit along each azimuth
-    s2d = np.full(n_az, np.inf)
-    hit_tree = np.full(n_az, -1, dtype=np.intp)
-    if len(forest) > 0:
-        rel = forest.positions - pose.t
-        near = np.flatnonzero(
-            (rel**2).sum(axis=1) <= (MAX_RANGE + forest.radii.max()) ** 2
-        )
-        if len(near) > 0:
-            rel = rel[near]
-            world_az = pose.theta + az
-            dirs = np.column_stack([np.cos(world_az), np.sin(world_az)])
-            b = dirs @ rel.T  # (n_az, n_near) projection onto each ray
-            c0 = (rel**2).sum(axis=1) - forest.radii[near] ** 2
-            disc = b * b - c0[None, :]
-            s = b - np.sqrt(np.maximum(disc, 0.0))
-            s[(disc < 0.0) | (s <= 0.0)] = np.inf
-            first = np.argmin(s, axis=1)
-            rows = np.arange(n_az)
-            s2d = s[rows, first]
-            hit_tree = np.where(np.isfinite(s2d), near[first], -1)
-
+    s2d, hit_tree = _first_hits(forest, pose, az)
     trunk_hit = np.isfinite(s2d)
     az_parts, elev_parts, rho_parts = [], [], []
-    visible = set()
+    trunk_rays = np.zeros(n_az, dtype=bool)  # azimuths with a trunk return
     for elev in elevations:
         cos_e = math.cos(elev)
         rho_trunk = s2d / cos_e
@@ -199,11 +235,11 @@ def simulate_scan(
         take_trunk = trunk_hit & (s2d < s_ground) & (rho_trunk <= MAX_RANGE)
         # the ground plane occludes any trunk surface farther along the ray
         take_ground = (s_ground <= s2d) if ground_ok else np.zeros(n_az, dtype=bool)
+        trunk_rays |= take_trunk
         idx = np.flatnonzero(take_trunk | take_ground)
         if len(idx) == 0:
             continue
         is_ground = take_ground[idx]
-        visible.update(int(v) for v in hit_tree[idx[~is_ground]])
         az_parts.append(idx)
         elev_parts.append(np.full(len(idx), elev))
         rho_parts.append(np.where(is_ground, rho_ground, rho_trunk[idx]))
@@ -224,7 +260,9 @@ def simulate_scan(
         ]
     )
     return SimulatedScan(
-        cloud=cloud, true_pose=pose, visible_trunk_ids=frozenset(visible)
+        cloud=cloud,
+        true_pose=pose,
+        visible_trunk_ids=frozenset(np.unique(hit_tree[trunk_rays]).tolist()),
     )
 
 

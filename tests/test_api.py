@@ -1,5 +1,9 @@
 """Tests for the public API of the forestloc package."""
 
+import os
+import subprocess
+import sys
+
 import forestloc
 
 
@@ -58,3 +62,16 @@ def test_public_names_pinned():
         "triangulate",
         "write_benchmark_csv",
     }
+
+
+def test_import_leaves_out_the_optimizer():
+    """Only the test oracle needs scipy.optimize, so importing forestloc skips it."""
+    code = "import sys, forestloc; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -1,22 +1,30 @@
 """Tests for forestloc.simulator — forests, ray casting, scan aggregation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from forestloc.errors import InfeasibleForestError
 from forestloc.geometry import RigidTransform2D
 from forestloc.simulator import (
+    ANGULAR_RESOLUTION,
+    HORIZONTAL_FOV,
     MAX_RANGE,
     MIN_SPACING,
     MOUNT_HEIGHT,
     Forest,
     ForestSpec,
+    _first_hits,
     aggregate_scans,
     generate_forest,
     simulate_scan,
 )
+
+DRIVE_STAND = ForestSpec(area=(250.0, 250.0), density=352.0, seed=2)  # 2,200 trunks
+BENCHMARK_STAND = ForestSpec(area=(250.0, 250.0), density=350.0, seed=0)  # BenchmarkConfig()
 
 
 def one_tree(x, y, radius=0.2, area=(40.0, 40.0)):
@@ -259,3 +267,180 @@ def test_to_trunk_map():
     tm = forest.to_trunk_map()
     assert len(tm) == len(forest)
     np.testing.assert_array_equal(tm.positions, forest.positions)
+
+
+def fan_azimuths():
+    """The sensor-frame azimuths simulate_scan casts, in scan order."""
+    res = math.radians(ANGULAR_RESOLUTION)
+    half = math.radians(HORIZONTAL_FOV) / 2.0
+    n_az = int(round(math.radians(HORIZONTAL_FOV) / res))
+    return -half + (np.arange(n_az) + 0.5) * res
+
+
+def dense_first_hits(forest, pose, az):
+    """Oracle: every azimuth against every trunk in range, first hit by argmin."""
+    n_az = len(az)
+    s2d = np.full(n_az, np.inf)
+    hit_tree = np.full(n_az, -1, dtype=np.intp)
+    if len(forest) > 0:
+        rel = forest.positions - pose.t
+        near = np.flatnonzero(
+            (rel**2).sum(axis=1) <= (MAX_RANGE + forest.radii.max()) ** 2
+        )
+        if len(near) > 0:
+            rel = rel[near]
+            world_az = pose.theta + az
+            dirs = np.column_stack([np.cos(world_az), np.sin(world_az)])
+            b = dirs @ rel.T  # (n_az, n_near) projection onto each ray
+            c0 = (rel**2).sum(axis=1) - forest.radii[near] ** 2
+            disc = b * b - c0[None, :]
+            s = b - np.sqrt(np.maximum(disc, 0.0))
+            s[(disc < 0.0) | (s <= 0.0)] = np.inf
+            first = np.argmin(s, axis=1)
+            rows = np.arange(n_az)
+            s2d = s[rows, first]
+            hit_tree = np.where(np.isfinite(s2d), near[first], -1)
+    return s2d, hit_tree
+
+
+def assert_same_hits(forest, pose):
+    """_first_hits agrees with the dense oracle; returns its (range, trunk)."""
+    az = fan_azimuths()
+    s_ref, tree_ref = dense_first_hits(forest, pose, az)
+    s, tree = _first_hits(forest, pose, az)
+    np.testing.assert_array_equal(tree, tree_ref)
+    np.testing.assert_array_equal(np.isfinite(s), np.isfinite(s_ref))
+    hit = np.isfinite(s_ref)
+    np.testing.assert_allclose(s[hit], s_ref[hit], rtol=0, atol=1e-9)
+    return s, tree
+
+
+@pytest.mark.parametrize("spec", [DRIVE_STAND, BENCHMARK_STAND], ids=["drive", "benchmark"])
+def test_first_hits_match_dense_prepass(spec):
+    """On 100 poses over each 250 m stand, every azimuth hits the oracle's trunk."""
+    forest = generate_forest(spec)
+    rng = np.random.default_rng(19)
+    hits = 0
+    for _ in range(100):
+        pose = RigidTransform2D(rng.uniform(-math.pi, math.pi), rng.uniform(-20.0, 270.0, 2))
+        s, _ = assert_same_hits(forest, pose)
+        hits += np.isfinite(s).sum()
+    assert hits > 40_000  # most rays meet a trunk
+
+
+def test_first_hits_sensor_inside_trunk():
+    """The enclosing trunk is never hit; the trunks around it are."""
+    forest = Forest(
+        positions=np.array([[5.0, 0.0], [0.1, 0.0], [-3.0, 4.0]]),
+        radii=np.array([0.3, 0.5, 0.3]),
+        area=(20.0, 20.0),
+    )
+    for theta in (0.0, 2.0, math.pi):
+        _, tree = assert_same_hits(forest, RigidTransform2D(theta, np.zeros(2)))
+        assert 1 not in tree
+    _, tree = assert_same_hits(forest, RigidTransform2D(0.0, np.zeros(2)))
+    assert 0 in tree
+    # the sensor on the axis, where the bearing is undefined
+    _, tree = assert_same_hits(forest, RigidTransform2D(0.0, np.array([0.1, 0.0])))
+    assert 1 not in tree and 0 in tree
+
+
+def test_first_hits_trunk_straddling_fan_edge():
+    """A trunk on the +-105 degree edge is hit by the outermost rays only."""
+    edge = math.radians(HORIZONTAL_FOV) / 2.0
+    for sign in (1.0, -1.0):
+        forest = one_tree(5.0 * math.cos(sign * edge), 5.0 * math.sin(sign * edge), 0.3)
+        _, tree = assert_same_hits(forest, RigidTransform2D(0.0, np.zeros(2)))
+        hit = np.flatnonzero(tree == 0)
+        assert len(hit) > 5
+        assert (hit[-1] == len(tree) - 1) if sign > 0 else (hit[0] == 0)
+
+
+def test_first_hits_across_the_seam():
+    """Windows that cross +-pi, in the sensor frame and in the world frame."""
+    # a trunk just behind the sensor: its window wraps past +-pi and
+    # reaches the outermost rays on both sides of the fan
+    forest = one_tree(-0.31, 0.0, 0.3)
+    _, tree = assert_same_hits(forest, RigidTransform2D(0.0, np.zeros(2)))
+    assert tree[0] == 0 and tree[-1] == 0
+    assert (tree[5:-5] == -1).all()
+    # heading and world bearing on opposite sides of the seam, trunk ahead
+    forest = one_tree(5.0 * math.cos(-3.0), 5.0 * math.sin(-3.0), 0.3)
+    _, tree = assert_same_hits(forest, RigidTransform2D(3.0, np.zeros(2)))
+    assert (tree == 0).sum() > 5
+    # a trunk straight behind is out of the fan
+    forest = one_tree(-5.0, 0.0, 0.3)
+    _, tree = assert_same_hits(forest, RigidTransform2D(0.0, np.zeros(2)))
+    assert (tree == -1).all()
+
+
+def test_first_hits_equal_range_tie_takes_lower_index():
+    """Two coincident trunks tie on every ray; the lower index wins."""
+    forest = Forest(
+        positions=np.array([[0.0, 8.0], [6.0, 0.0], [6.0, 0.0]]),
+        radii=np.array([0.3, 0.25, 0.25]),
+        area=(20.0, 20.0),
+    )
+    _, tree = assert_same_hits(forest, RigidTransform2D(0.0, np.zeros(2)))
+    assert (tree == 1).sum() > 5
+    assert 2 not in tree
+
+
+def test_first_hits_at_max_range():
+    """A trunk centred at MAX_RANGE + r is in range; one farther out is not."""
+    r = 0.25
+    forest = one_tree(MAX_RANGE + r, 0.0, r, area=(300.0, 300.0))
+    s, tree = assert_same_hits(forest, RigidTransform2D(0.0, np.zeros(2)))
+    assert (tree == 0).any()
+    assert MAX_RANGE - 1e-9 <= s[tree == 0].min() < MAX_RANGE + 0.1
+    forest = one_tree(MAX_RANGE + r + 0.01, 0.0, r, area=(300.0, 300.0))
+    _, tree = assert_same_hits(forest, RigidTransform2D(0.0, np.zeros(2)))
+    assert (tree == -1).all()
+
+
+def test_first_hits_nothing_to_hit():
+    """An empty stand and a stand with no trunk in range both miss everywhere."""
+    empty = Forest(positions=np.zeros((0, 2)), radii=np.zeros(0), area=(40.0, 40.0))
+    far = one_tree(150.0, 150.0, 0.3, area=(200.0, 200.0))
+    for forest in (empty, far):
+        s, tree = assert_same_hits(forest, RigidTransform2D(0.4, np.array([10.0, 10.0])))
+        assert (tree == -1).all() and np.isinf(s).all()
+
+
+def test_first_hits_tangent_ray():
+    """A ray that grazes a trunk hits it at the tangent point; its neighbours miss."""
+    az = fan_azimuths()
+    k = 400
+    pose = RigidTransform2D(-az[k], np.zeros(2))  # ray k points along world +x
+    forest = one_tree(5.0, 0.25, 0.25)  # tangent to the x axis at (5, 0)
+    s, tree = assert_same_hits(forest, pose)
+    assert tree[k] == 0 and s[k] == 5.0
+    assert tree[k + 1] == -1 or tree[k - 1] == -1
+
+
+def test_visible_ids_are_trunks_with_returns():
+    """Noise-free, a trunk is visible exactly when the cloud holds a return on it."""
+    forest = generate_forest(DRIVE_STAND)
+    tree = cKDTree(forest.positions)
+    for k, theta in enumerate((0.3, 2.5, -1.9)):
+        pose = RigidTransform2D(theta, np.array([60.0 + 40.0 * k, 125.0]))
+        scan = simulate_scan(forest, pose, noise=0.0)
+        trunk = scan.cloud[scan.cloud[:, 2] > 1e-6]
+        dist, nearest = tree.query(pose.apply(trunk[:, :2]))
+        assert np.abs(dist - forest.radii[nearest]).max() < 1e-6
+        assert scan.visible_trunk_ids == frozenset(nearest.tolist())
+        assert all(type(i) is int for i in scan.visible_trunk_ids)
+
+
+def test_scan_memory_peak():
+    """One scan of the 2,200-trunk stand allocates under 8 MB at its peak."""
+    forest = generate_forest(DRIVE_STAND)
+    pose = RigidTransform2D(math.pi / 2.0, np.array([185.0, 125.0]))
+    simulate_scan(forest, pose)
+    tracemalloc.start()
+    try:
+        simulate_scan(forest, pose)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
