@@ -2,21 +2,21 @@
 
 The pipeline per local star: find global stars with componentwise-similar
 feature vectors (the map's log-feature kd-tree narrows the search, in one
-bounded k-nearest query for all local stars plus ball queries for those
-with more hits than it returns, or from tolerance 0.25 on a ball query
-per star, and an exact relative-tolerance test decides), pair up the 6
-star vertices (the most-similar center edge fixes a rotation of the CCW
-corner order, and the neighbor apexes follow the shared edges), and fit
-a rigid transform per candidate and tied rotation from the
-centered-vector rotation candidates.  One call pairs
-and fits every candidate, and matches are rows of aligned arrays from
+bounded k-nearest query for all local stars plus a ball query for each
+star with more hits than it returns, and an exact relative-tolerance
+test decides), pair up the 6 star vertices (the most-similar center
+edge fixes a rotation of the CCW corner order, and the neighbor apexes
+follow the shared edges), and fit a rigid transform per candidate and
+tied rotation from the centered-vector rotation candidates.  One call
+pairs and fits every candidate, and matches are rows of aligned arrays from
 the star tables through verification and into the result, one row per
 matched local star; the exhaustive test oracle returns the same arrays.
-Verification scores every surviving candidate transform (plus their
+Verification scores every accepted match's transform (plus their
 componentwise median) on the summed pair residual of all matched
 vertices in one call and polishes the best one by iteratively
 reweighted least squares, each step a closed-form weighted Procrustes
-fit.  A vertex pair shared by several kept matches is summed once,
+fit whose weights shrink with a pair's distance, so outlying matches
+pull little.  A vertex pair shared by several matches is summed once,
 weighted by how many of them hold it, which is the sum over every
 match's pairs.  The returned transform maps local coordinates into the
 global frame.  The fit and verification kernels take gathered vertex
@@ -46,7 +46,6 @@ _IRLS_MIN_DIST = 1e-12  # meters: floor under 1/d so exact pairs keep a finite w
 # log-space radius, far above the rounding of either test.
 _INDEX_PAD = 1e-9
 _KNN_HITS = 16  # neighbours the first star-index pass finds per local star
-_INDEX_CHUNK = 64  # overflowing local stars searched together below tolerance 0.25
 _MAX_CANDIDATES_PER_STAR = 8  # cap per local star, by ascending deviation
 # Center-edge pairings within this (m) of the best length difference count
 # as tied and are all evaluated.
@@ -79,9 +78,9 @@ class LocalizationResult:
     """The pose of the local frame in the map frame, and how it was found.
 
     residual: summed pair distance under pose, over the vertex pairs of
-        the matches that the MAD filter keeps; each distinct (local, map)
-        vertex pair counts once per kept match holding it, and is summed
-        once with that multiplicity.
+        the accepted matches; each distinct (local, map) vertex pair
+        counts once per match holding it, and is summed once with that
+        multiplicity.
     candidate_count: tolerance-passing (local, map) star pairs tried.
     irls_steps: reweighting steps the verification solve took; it stops
         at _IRLS_MAX_ITER (2,000) if it has not converged by then.
@@ -89,7 +88,7 @@ class LocalizationResult:
         and "total".
 
     The accepted matches, one per matched local star (match_count of
-    them, in star order, before the MAD filter), are aligned arrays:
+    them, in star order), are aligned arrays:
     local_rows and map_rows index the two graphs' star tables, paired
     holds the map vertex ids paired with the local star's vertices (the
     local graph's star_table.vertices row), and thetas, translations and
@@ -131,17 +130,16 @@ def dissimilarity(d1: TriangleDescriptor, d2: TriangleDescriptor) -> float:
 
 
 def _index_hits(graph_local: DTGraph, graph_map: DTGraph, tolerance: float):
-    """Blocks of (local row, map row) arrays that hold every passing pair.
+    """Blocks of (local row, map row) arrays that hold every passing pair once.
 
     For tol < 1, |g - f| <= tol * f puts every log feature of g within
     -log1p(-tol) of f's (the wider side of the band), so padded by
-    _INDEX_PAD the star index finds every passing star.  Below tolerance
-    0.25 one bounded _KNN_HITS-nearest query covers all local stars; a
-    star whose last neighbour is within the radius may have more, and
-    only those stars go through ball queries, _INDEX_CHUNK at a time.
-    From tolerance 0.25 on most stars hold more hits than that, so every
-    star goes straight to a ball query of its own.  From tolerance 1 on
-    every map star is a hit.  A local star's hits all lie in one block.
+    _INDEX_PAD the star index finds every passing star.  One bounded
+    _KNN_HITS-nearest query covers all local stars; a star whose last
+    neighbour is within the radius may have more, and each such star gets
+    a ball query of its own.  From tolerance 1 on every map star is a
+    hit, one local star per block.  A local star's hits all lie in one
+    block.
     """
     local, n_map = graph_local.star_features, len(graph_map.star_features)
     if n_map == 0:
@@ -153,24 +151,19 @@ def _index_hits(graph_local: DTGraph, graph_map: DTGraph, tolerance: float):
         return
     radius = _INDEX_PAD - math.log1p(-padded)
     keys = log_star_features(local)
-    if padded < 0.25:
-        k = min(_KNN_HITS, n_map)
-        _, nearest = graph_map.star_index.query(
-            keys, k=k, p=np.inf, distance_upper_bound=np.nextafter(radius, np.inf)
-        )
-        nearest = nearest.reshape(len(keys), k)
-        hit = nearest < n_map
-        overflow = np.flatnonzero(hit[:, -1])
-        hit[overflow] = False
-        lrow, col = np.nonzero(hit)
-        yield lrow, nearest[lrow, col]
-        chunk = _INDEX_CHUNK
-    else:
-        overflow, chunk = np.arange(len(keys)), 1
-    for start in range(0, len(overflow), chunk):
-        rows = overflow[start : start + chunk]
-        hits = graph_map.star_index.query_ball_point(keys[rows], radius, p=np.inf)
-        yield np.repeat(rows, [len(h) for h in hits]), np.concatenate(hits).astype(np.intp)
+    k = min(_KNN_HITS, n_map)
+    _, nearest = graph_map.star_index.query(
+        keys, k=k, p=np.inf, distance_upper_bound=np.nextafter(radius, np.inf)
+    )
+    nearest = nearest.reshape(len(keys), k)
+    hit = nearest < n_map
+    overflow = np.flatnonzero(hit[:, -1])
+    hit[overflow] = False
+    lrow, col = np.nonzero(hit)
+    yield lrow, nearest[lrow, col]
+    for row in overflow.tolist():
+        hits = graph_map.star_index.query_ball_point(keys[row], radius, p=np.inf)
+        yield np.full(len(hits), row), np.array(hits, dtype=np.intp)
 
 
 def _candidates(graph_local: DTGraph, graph_map: DTGraph, tolerance: float):
@@ -292,22 +285,6 @@ def _unique_pairs(local_ids, global_ids, points_local, points_global):
     return _complex(points_local[keys // n_global]), _complex(points_global[keys % n_global]), m
 
 
-def _mad_filter(theta, t, residual):
-    """The rows kept after dropping transform outliers beyond 3 MADs.
-
-    Each of angle, x and y is compared with its median.  Angles are
-    taken as offsets from the lowest-residual row's angle so a cluster
-    straddling the -pi/pi seam stays intact.  The filter only applies
-    when at least 4 rows survive it.
-    """
-    if len(theta) < 4:
-        return np.arange(len(theta))
-    cols = np.column_stack([_wrap(theta - theta[np.argmin(residual)]), t])
-    dev = np.abs(cols - np.median(cols, axis=0))
-    keep = (dev <= 3.0 * np.median(dev, axis=0) + 1e-6).all(axis=1)
-    return np.flatnonzero(keep) if keep.sum() >= 4 else np.arange(len(theta))
-
-
 def _residual(pose, zl, zg, m=1):
     """Summed pair distance |zl e^(i theta) + (x + iy) - zg| under pose = (theta, x, y).
 
@@ -396,12 +373,11 @@ def localize(
     if len(accepted) < params.min_matches:
         raise InsufficientMatchesError("insufficient matches", match_count=len(accepted))
     t_match = time.perf_counter()
-    kept = accepted[_mad_filter(theta[accepted], t[accepted], residual[accepted])]
-    seeds = np.column_stack([theta[kept], t[kept]])
+    seeds = np.column_stack([theta[accepted], t[accepted]])
     median = np.median(np.column_stack([_wrap(seeds[:, 0] - seeds[0, 0]), seeds[:, 1:]]), axis=0)
     seeds = np.vstack([seeds, median + [seeds[0, 0], 0.0, 0.0]])
     seeds[:, 0] = np.mod(seeds[:, 0], TWO_PI)
-    pair_ids = (local.vertices[lrow[kept]].ravel(), paired[kept].ravel())
+    pair_ids = (local.vertices[lrow[accepted]].ravel(), paired[accepted].ravel())
     zl, zg, m = _unique_pairs(*pair_ids, graph_local.points, graph_map.points)
     beta, x, y, residual_sum, steps = _verify(zl, zg, m, seeds)
     t_verify = time.perf_counter()
