@@ -1,4 +1,4 @@
-"""Command-line interface: extract, triangulate, localize, simulate, benchmark."""
+"""Command-line interface: extract, localize, simulate, benchmark."""
 
 from __future__ import annotations
 
@@ -10,13 +10,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .dtgraph import load_graph, save_graph, triangulate
+from .dtgraph import load_graph, triangulate
 from .errors import ForestLocError, InsufficientMatchesError, NoOverlapError
 from .geometry import RigidTransform2D, load_xyz, save_xyz
 from .matching import MatchParams, localize
 from .pipeline import BenchmarkConfig, _simulate_site, run_benchmark
 from .simulator import ForestSpec, _check_noise, aggregate_scans, generate_forest
-from .trunks import TrunkExtractionParams, TrunkMap, extract_trunk_map
+from .trunks import TrunkExtractionParams, extract_trunk_map
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -50,15 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cluster-tol", type=float, default=0.5, help="cluster link distance, m")
     p.add_argument("--min-cluster", type=int, default=30, help="minimum cluster size")
 
-    p = sub.add_parser("triangulate", help="build a triangulation graph from landmarks")
-    p.add_argument("--input", required=True, help="landmarks (.csv)")
-    p.add_argument("--output", required=True, help="output graph (.json)")
-
-    p = sub.add_parser("localize", help="match a local map against a global graph")
-    p.add_argument("--map", required=True, help="global graph (.json)")
-    p.add_argument(
-        "--local", required=True, help="local input (.json graph, .csv landmarks, or .xyz cloud)"
-    )
+    p = sub.add_parser("localize", help="match a local map against a global map")
+    p.add_argument("--map", required=True, help="global map (.csv landmarks or .xyz cloud)")
+    p.add_argument("--local", required=True, help="local map (.csv landmarks or .xyz cloud)")
     p.add_argument("--tolerance", type=float, default=0.05, help="feature tolerance")
     p.add_argument("--min-matches", type=int, default=1, help="required star matches")
 
@@ -98,37 +92,17 @@ def _cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _cmd_triangulate(args) -> int:
-    trunk_map = TrunkMap.load_csv(args.input)
-    graph = triangulate(trunk_map)
-    save_graph(graph, args.output)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "vertices": graph.n_vertices,
-                    "triangles": graph.n_triangles,
-                    "output": args.output,
-                }
-            )
-        )
-    elif not args.quiet:
-        print(f"triangulated {graph.n_vertices} landmarks into {graph.n_triangles} triangles -> {args.output}")
-    return EXIT_OK
-
-
-def _load_local(path_text: str):
+def _load_map(path_text: str):
+    """The graph of a landmark .csv, or of the trunks extracted from any other file as .xyz."""
     path = Path(path_text)
-    if path.suffix == ".json":
-        return load_graph(path)
     if path.suffix == ".csv":
-        return triangulate(TrunkMap.load_csv(path))
+        return load_graph(path)
     return triangulate(extract_trunk_map(load_xyz(path)))
 
 
 def _cmd_localize(args) -> int:
-    graph_map = load_graph(args.map)
-    graph_local = _load_local(args.local)
+    graph_map = _load_map(args.map)
+    graph_local = _load_map(args.local)
     params = MatchParams(feature_tolerance=args.tolerance, min_matches=args.min_matches)
     result = localize(graph_local, graph_map, params)
     payload = {
@@ -249,7 +223,6 @@ def _cmd_benchmark(args) -> int:
 
 _COMMANDS = {
     "extract": _cmd_extract,
-    "triangulate": _cmd_triangulate,
     "localize": _cmd_localize,
     "simulate": _cmd_simulate,
     "benchmark": _cmd_benchmark,

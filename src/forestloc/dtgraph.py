@@ -14,14 +14,12 @@ lexicographically, so they come out bitwise identical no matter how the
 triangulation happened to order the simplex, and identical feature
 vectors arise from permuted inputs over the same landmarks.
 
-triangulate is the only constructor of a DTGraph.  A graph file is read
-back by triangulating its vertices again and checking the stored
-triangles and descriptors against that rebuild.
+triangulate is the only constructor of a DTGraph.  A map file is a
+landmark CSV, and reading it triangulates the landmarks.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -31,6 +29,7 @@ from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
 
 from .errors import DegeneratePointSetError
 from .geometry import as_points2
+from .trunks import TrunkMap
 
 _STAR_INDEX_LEAF_SIZE = 128  # stars per star-index leaf; see DTGraph.star_index
 
@@ -276,84 +275,16 @@ def triangulate(landmarks) -> DTGraph:
 
 
 def save_graph(graph: DTGraph, path) -> None:
-    """Write the graph as JSON with stable ordering and float formatting.
+    """Write the graph's vertices as a landmark CSV (TrunkMap.save_csv), support 1.
 
-    Top-level keys: "vertices" [[id, x, y]], "triangles" [[id, v0, v1, v2]],
-    "descriptors" [[id, A, l]].  Floats use repr (shortest round-trip), so
-    equal graphs produce byte-identical files.
+    A Delaunay graph is a function of its vertices, so they are all a map
+    file holds.  Floats round-trip exactly, so load_graph gives back the
+    same graph, and equal graphs give byte-identical files.
     """
-    parts = ["{\n  \"vertices\": [\n"]
-    parts.append(
-        ",\n".join(
-            f"    [{i}, {float(x)!r}, {float(y)!r}]"
-            for i, (x, y) in enumerate(graph.points)
-        )
-    )
-    parts.append("\n  ],\n  \"triangles\": [\n")
-    parts.append(
-        ",\n".join(
-            f"    [{i}, {int(a)}, {int(b)}, {int(c)}]"
-            for i, (a, b, c) in enumerate(graph.triangles)
-        )
-    )
-    parts.append("\n  ],\n  \"descriptors\": [\n")
-    parts.append(
-        ",\n".join(
-            f"    [{i}, {float(a)!r}, {float(l)!r}]"
-            for i, (a, l) in enumerate(zip(graph.areas, graph.sq_perimeters))
-        )
-    )
-    parts.append("\n  ]\n}\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(parts))
+    support = np.ones(graph.n_vertices, dtype=np.intp)
+    TrunkMap(positions=graph.points, support=support).save_csv(path)
 
 
 def load_graph(path) -> DTGraph:
-    """Read a graph written by save_graph, checked against a rebuild.
-
-    The vertices are triangulated afresh, so a file meets the same
-    invariants as a graph built in memory.  The stored triangles must be
-    the rebuild's as a set of vertex triples (row order and the rotation
-    of a row do not matter), and each stored descriptor must agree with
-    the rebuilt one to 1e-6 relative; otherwise ValueError.  The file must
-    hold one object, the row ids of every table must run 0, 1, 2, ... in
-    file order, and triangle vertex ids must be integers.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: top-level value must be an object")
-    for key, width in (("vertices", 3), ("triangles", 4), ("descriptors", 3)):
-        if key not in data:
-            raise ValueError(f"{path}: missing key {key!r}")
-        if not isinstance(data[key], list) or not all(
-            isinstance(row, list) and len(row) == width for row in data[key]
-        ):
-            raise ValueError(f"{path}: {key} rows must be lists of {width} entries")
-        if [row[0] for row in data[key]] != list(range(len(data[key]))):
-            raise ValueError(f"{path}: {key} ids not contiguous from 0")
-    pts = as_points2([row[1:] for row in data["vertices"]])
-    simplices = np.array([row[1:] for row in data["triangles"]]).reshape(-1, 3)
-    if len(simplices) and simplices.dtype.kind not in "iu":
-        raise ValueError(f"{path}: triangle vertex ids must be integers")
-    if len(simplices) == 0 or simplices.min() < 0 or simplices.max() >= len(pts):
-        raise ValueError(f"{path}: triangle vertex id out of range")
-    stored = np.array([row[1:] for row in data["descriptors"]], dtype=float).reshape(
-        -1, 2
-    )
-    if len(stored) != len(simplices):
-        raise ValueError(f"{path}: descriptor count does not match triangles")
-    graph = triangulate(pts)
-    # rows of sorted vertex triples, in lexicographic order on both sides
-    stored_tris = np.sort(simplices, axis=1)
-    built_tris = np.sort(graph.triangles, axis=1)
-    stored_order = np.lexsort(stored_tris.T[::-1])
-    built_order = np.lexsort(built_tris.T[::-1])
-    if not np.array_equal(stored_tris[stored_order], built_tris[built_order]):
-        raise ValueError(f"{path}: triangles are not the Delaunay triangulation of the vertices")
-    stored = stored[stored_order]
-    fresh = np.column_stack([graph.areas, graph.sq_perimeters])[built_order]
-    # written so that a NaN or infinite stored value fails it
-    if not np.all(np.abs(stored - fresh) <= 1e-6 * np.maximum(np.abs(fresh), 1.0)):
-        raise ValueError(f"{path}: stored descriptors disagree with geometry")
-    return graph
+    """triangulate(TrunkMap.load_csv(path)): a map file meets the in-memory invariants."""
+    return triangulate(TrunkMap.load_csv(path))

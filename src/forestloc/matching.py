@@ -264,7 +264,10 @@ def _pair_and_fit(local_ids, global_ids, points_local, points_global):
         zl[cand], zg[cand[:, None], _ROTATIONS[rot]]
     )
     ranked = np.sort(residual, axis=1)
-    ambiguous = (rotations.sum(axis=1) > 1) & (ranked[:, 1] - ranked[:, 0] <= 1e-6)
+    # a pair with no finite fit has no gap to tie (inf - inf would be NaN)
+    gap = np.full(k, np.inf)
+    np.subtract(ranked[:, 1], ranked[:, 0], out=gap, where=np.isfinite(ranked[:, 0]))
+    ambiguous = (rotations.sum(axis=1) > 1) & (gap <= 1e-6)
     pick = np.argmin(residual, axis=1)
     rows = np.arange(k)
     return paired[rows, pick], theta[rows, pick], t[rows, pick], ranked[:, 0], ambiguous

@@ -82,13 +82,20 @@ class TrunkMap:
         return len(self.positions)
 
     def save_csv(self, path) -> None:
+        """Write "id,x,y,support" rows; floats in shortest round-trip form."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("id,x,y,support\n")
             for i, ((x, y), s) in enumerate(zip(self.positions, self.support)):
-                fh.write(f"{i},{x:.6f},{y:.6f},{int(s)}\n")
+                fh.write(f"{i},{float(x)!r},{float(y)!r},{int(s)}\n")
 
     @classmethod
     def load_csv(cls, path) -> "TrunkMap":
+        """Read a file written by save_csv.
+
+        Row ids must run 0, 1, 2, ... in file order, since a landmark's id
+        is its row in positions.  A bad header, row, id or coordinate
+        raises ValueError naming the path and line.
+        """
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != "id,x,y,support":
@@ -101,9 +108,17 @@ class TrunkMap:
                 parts = text.split(",")
                 if len(parts) != 4:
                     raise ValueError(f"{path}:{lineno}: expected 4 fields")
-                xs.append(float(parts[1]))
-                ys.append(float(parts[2]))
-                sups.append(int(parts[3]))
+                if parts[0] != str(len(xs)):
+                    raise ValueError(f"{path}:{lineno}: expected id {len(xs)}, got {parts[0]!r}")
+                try:
+                    x, y, s = float(parts[1]), float(parts[2]), int(parts[3])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ValueError(f"{path}:{lineno}: non-finite coordinate")
+                xs.append(x)
+                ys.append(y)
+                sups.append(s)
         positions = np.column_stack([xs, ys]) if xs else np.zeros((0, 2))
         return cls(positions=positions, support=np.array(sups, dtype=np.intp))
 

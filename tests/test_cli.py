@@ -13,8 +13,9 @@ from forestloc.cli import (
     EXIT_OK,
     main,
 )
-from forestloc.dtgraph import load_graph, save_graph, triangulate
-from forestloc.geometry import RigidTransform2D, save_xyz
+from forestloc.dtgraph import save_graph, triangulate
+from forestloc.geometry import RigidTransform2D, normalize_angle, save_xyz
+from forestloc.pipeline import SUCCESS_ROTATION_DEG, SUCCESS_TRANSLATION
 from forestloc.simulator import (
     ForestSpec,
     aggregate_scans,
@@ -26,12 +27,11 @@ from forestloc.trunks import TrunkMap
 
 @pytest.fixture(scope="module")
 def scene(tmp_path_factory):
-    """Map graph, local landmark files, and a scan cloud sharing one stand."""
+    """Map and local landmark files, and a scan cloud sharing one stand."""
     base = tmp_path_factory.mktemp("cliscene")
     forest = generate_forest(ForestSpec(area=(100.0, 100.0), density=350.0, seed=7))
     trunk_map = forest.to_trunk_map()
-    g_map = triangulate(trunk_map)
-    save_graph(g_map, base / "map.json")
+    trunk_map.save_csv(base / "map.csv")
 
     pose = RigidTransform2D(0.35, np.array([52.0, 48.0]))
     near = trunk_map.positions[
@@ -40,7 +40,6 @@ def scene(tmp_path_factory):
     local_xy = pose.inverse().apply(near)
     local_map = TrunkMap(positions=local_xy, support=np.full(len(local_xy), 1, dtype=np.intp))
     local_map.save_csv(base / "local.csv")
-    save_graph(triangulate(local_map), base / "local.json")
 
     heading = pose.theta
     step = np.array([math.cos(heading), math.sin(heading)])
@@ -51,7 +50,7 @@ def scene(tmp_path_factory):
     save_xyz(base / "site.xyz", aggregate_scans(scans))
 
     rng = np.random.default_rng(9)
-    save_graph(triangulate(rng.uniform(0.0, 2.0, (25, 2))), base / "tiny.json")
+    save_graph(triangulate(rng.uniform(0.0, 2.0, (25, 2))), base / "tiny.csv")
     return base, pose
 
 
@@ -130,22 +129,12 @@ def test_extract_rejects_non_finite_lengths(tmp_path, capsys, flag, value, name)
     assert not out.exists()
 
 
-def test_triangulate(scene, tmp_path, capsys):
+def test_localize_degenerate_map_exit1(scene, tmp_path, capsys):
     base, _ = scene
-    out = tmp_path / "local_graph.json"
-    code = main(["--json", "triangulate", "--input", str(base / "local.csv"), "--output", str(out)])
-    assert code == EXIT_OK
-    payload = json.loads(capsys.readouterr().out)
-    graph = load_graph(out)
-    assert payload["vertices"] == graph.n_vertices
-    assert payload["triangles"] == graph.n_triangles > 0
-
-
-def test_triangulate_degenerate_exit1(tmp_path, capsys):
-    src = tmp_path / "line.csv"
+    line = tmp_path / "line.csv"
     pts = np.column_stack([np.arange(5.0), np.arange(5.0)])
-    TrunkMap(positions=pts, support=np.full(5, 1, dtype=np.intp)).save_csv(src)
-    code = main(["triangulate", "--input", str(src), "--output", str(tmp_path / "g.json")])
+    TrunkMap(positions=pts, support=np.full(5, 1, dtype=np.intp)).save_csv(line)
+    code = main(["localize", "--map", str(line), "--local", str(base / "local.csv")])
     assert code == EXIT_ERROR
     assert "degenerate" in capsys.readouterr().err
 
@@ -155,11 +144,11 @@ def localize_payload(capsys, argv):
     return code, json.loads(capsys.readouterr().out)
 
 
-def test_localize_from_graph(scene, capsys):
+def test_localize_from_csv(scene, capsys):
     base, pose = scene
     code, payload = localize_payload(
         capsys,
-        ["localize", "--map", str(base / "map.json"), "--local", str(base / "local.json")],
+        ["localize", "--map", str(base / "map.csv"), "--local", str(base / "local.csv")],
     )
     assert code == EXIT_OK
     assert set(payload) == {"pose", "residual_m", "matches", "candidates", "irls_steps", "timings"}
@@ -171,21 +160,11 @@ def test_localize_from_graph(scene, capsys):
     assert set(payload["timings"]) == {"stars", "matching", "verification", "total"}
 
 
-def test_localize_from_csv(scene, capsys):
-    base, pose = scene
-    code, payload = localize_payload(
-        capsys,
-        ["localize", "--map", str(base / "map.json"), "--local", str(base / "local.csv")],
-    )
-    assert code == EXIT_OK
-    assert abs(payload["pose"]["x"] - pose.t[0]) < 1e-3
-
-
 def test_localize_from_cloud(scene, capsys):
     base, pose = scene
     code, payload = localize_payload(
         capsys,
-        ["localize", "--map", str(base / "map.json"), "--local", str(base / "site.xyz")],
+        ["localize", "--map", str(base / "map.csv"), "--local", str(base / "site.xyz")],
     )
     assert code == EXIT_OK
     assert abs(payload["pose"]["x"] - pose.t[0]) < 1.0
@@ -195,7 +174,7 @@ def test_localize_from_cloud(scene, capsys):
 def test_localize_text_output(scene, capsys):
     base, _ = scene
     code = main(
-        ["localize", "--map", str(base / "map.json"), "--local", str(base / "local.json")]
+        ["localize", "--map", str(base / "map.csv"), "--local", str(base / "local.csv")]
     )
     assert code == EXIT_OK
     out = capsys.readouterr().out
@@ -208,8 +187,8 @@ def test_localize_insufficient_matches(scene, capsys):
     code = main(
         [
             "localize",
-            "--map", str(base / "map.json"),
-            "--local", str(base / "local.json"),
+            "--map", str(base / "map.csv"),
+            "--local", str(base / "local.csv"),
             "--min-matches", "100000",
         ]
     )
@@ -221,7 +200,7 @@ def test_localize_insufficient_matches(scene, capsys):
 def test_localize_no_overlap(scene, capsys):
     base, _ = scene
     code = main(
-        ["localize", "--map", str(base / "tiny.json"), "--local", str(base / "local.json")]
+        ["localize", "--map", str(base / "tiny.csv"), "--local", str(base / "local.csv")]
     )
     assert code == EXIT_NO_OVERLAP
     assert "no overlap" in capsys.readouterr().err
@@ -232,8 +211,8 @@ def test_localize_nan_tolerance_rejected(scene, capsys):
     code = main(
         [
             "localize",
-            "--map", str(base / "map.json"),
-            "--local", str(base / "local.json"),
+            "--map", str(base / "map.csv"),
+            "--local", str(base / "local.csv"),
             "--tolerance", "nan",
         ]
     )
@@ -241,38 +220,53 @@ def test_localize_nan_tolerance_rejected(scene, capsys):
     assert "feature_tolerance must be positive" in capsys.readouterr().err
 
 
+def with_row(lines, row, text):
+    """The map file's lines with data row ``row`` (id ``row``) replaced by ``text``."""
+    return lines[: row + 1] + [text] + lines[row + 2 :]
+
+
 def test_localize_short_map_row_rejected(scene, tmp_path, capsys):
     base, _ = scene
-    data = json.loads((base / "map.json").read_text())
-    data["vertices"][3] = [3, 1.0]
-    short = tmp_path / "short.json"
-    short.write_text(json.dumps(data))
-    code = main(["localize", "--map", str(short), "--local", str(base / "local.json")])
+    short = tmp_path / "short.csv"
+    lines = (base / "map.csv").read_text().splitlines()
+    short.write_text("\n".join(with_row(lines, 3, "3,1.0,2.0")) + "\n")
+    code = main(["localize", "--map", str(short), "--local", str(base / "local.csv")])
     assert code == EXIT_ERROR
-    assert capsys.readouterr().err.startswith(f"error: {short}: vertices rows")
-
-
-def with_fractional_triangle_id(data):
-    data["triangles"][0][1] = 0.9
-    return data
+    assert capsys.readouterr().err.startswith(f"error: {short}:5: expected 4 fields")
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda data: 5, "top-level value must be an object"),
-        (lambda data: None, "top-level value must be an object"),
-        (with_fractional_triangle_id, "triangle vertex ids must be integers"),
+        (lambda lines: ["5"], ": unexpected header '5'"),
+        (lambda lines: with_row(lines, 0, "0,null,1.0,1"), ":2: could not convert"),
+        (lambda lines: with_row(lines, 2, "2.9,1.0,1.0,1"), ":4: expected id 2, got '2.9'"),
     ],
     ids=["number", "null", "fractional-id"],
 )
 def test_localize_malformed_map_rejected(scene, tmp_path, capsys, edit, message):
     base, _ = scene
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(edit(json.loads((base / "map.json").read_text()))))
-    code = main(["localize", "--map", str(bad), "--local", str(base / "local.json")])
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(edit((base / "map.csv").read_text().splitlines())) + "\n")
+    code = main(["localize", "--map", str(bad), "--local", str(base / "local.csv")])
     assert code == EXIT_ERROR
-    assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+    assert capsys.readouterr().err.startswith(f"error: {bad}{message}")
+
+
+def test_localize_graph_json_map_rejected(scene, tmp_path, capsys):
+    """A graph file of the old JSON layout is not a map file: exit 1, no pose."""
+    base, _ = scene
+    old = tmp_path / "map.json"
+    layout = {
+        "vertices": [[0, 0.0, 0.0], [1, 4.0, 0.0], [2, 0.0, 3.0]],
+        "triangles": [[0, 0, 1, 2]],
+        "descriptors": [[0, 6.0, 144.0]],
+    }
+    old.write_text(json.dumps(layout, indent=2))
+    code = main(["localize", "--map", str(old), "--local", str(base / "local.csv")])
+    assert code == EXIT_ERROR
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:")
 
 
 def test_bad_area_rejected(tmp_path):
@@ -312,6 +306,27 @@ def test_simulate(tmp_path, capsys):
     assert poses[1].startswith("0,30.000000,30.000000,")
     assert len(poses) == 3
     assert "simulated 2 sites" in capsys.readouterr().out
+
+
+def test_simulate_then_localize(tmp_path, capsys):
+    """A simulated stand's trunks.csv is a map file: localize a site cloud against it."""
+    route = tmp_path / "route.csv"
+    route.write_text("x,y,theta_deg\n40.0,40.0,30.0\n")
+    out = tmp_path / "sim"
+    argv = ["--seed", "5", "simulate", "--area", "80x80", "--density", "350"]
+    argv += ["--path", str(route), "--frames-per-site", "3", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    code, payload = localize_payload(
+        capsys,
+        ["localize", "--map", str(out / "trunks.csv"), "--local", str(out / "site_000.xyz")],
+    )
+    assert code == EXIT_OK
+    _, x, y, theta_deg = map(float, (out / "poses.csv").read_text().splitlines()[1].split(","))
+    pose = payload["pose"]
+    assert math.hypot(pose["x"] - x, pose["y"] - y) < SUCCESS_TRANSLATION
+    rot_err = math.degrees(normalize_angle(math.radians(pose["theta_deg"] - theta_deg)))
+    assert abs(rot_err) < SUCCESS_ROTATION_DEG
 
 
 def test_simulate_bad_pose_row(tmp_path, capsys):

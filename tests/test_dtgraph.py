@@ -1,6 +1,5 @@
 """Tests for forestloc.dtgraph — triangulation, descriptors, stars, graph files."""
 
-import json
 import math
 
 import numpy as np
@@ -306,133 +305,38 @@ def test_apex_vertices():
 def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(13)
     g = triangulate(rng.uniform(0, 50, (70, 2)))
-    path = tmp_path / "graph.json"
+    path = tmp_path / "graph.csv"
     save_graph(g, path)
     back = load_graph(path)
-    np.testing.assert_array_equal(back.points, g.points)
-    np.testing.assert_array_equal(back.triangles, g.triangles)
-    np.testing.assert_array_equal(back.areas, g.areas)
+    for name in ("points", "triangles", "neighbors", "areas", "sq_perimeters", "star_features"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(g, name))
     assert back.hull_vertices == g.hull_vertices
 
 
 def test_save_byte_deterministic(tmp_path):
     rng = np.random.default_rng(14)
     g = triangulate(rng.uniform(0, 50, (40, 2)))
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     save_graph(g, p1)
     save_graph(g, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_load_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"vertices": [[0, 0.0, 0.0]]}')
-    with pytest.raises(ValueError):
-        load_graph(path)
-    # a row one entry short, in each table of an otherwise intact file
     rng = np.random.default_rng(16)
+    path = tmp_path / "map.csv"
     save_graph(triangulate(rng.uniform(0, 50, (80, 2))), path)
-    intact = json.loads(path.read_text())
-    for key in ("vertices", "triangles", "descriptors"):
-        data = json.loads(json.dumps(intact))
-        data[key][3] = data[key][3][:-1]
-        short = tmp_path / f"short_{key}.json"
-        short.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match=f"short_{key}.json: {key} rows must be lists"):
-            load_graph(short)
-    # descriptor rows that all claim id 7
-    data = json.loads(json.dumps(intact))
-    for row in data["descriptors"]:
-        row[0] = 7
-    path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="descriptors ids not contiguous"):
-        load_graph(path)
-    # descriptors that are not finite, all of them or one
-    for value in ("NaN", "Infinity", "-Infinity"):
-        for rows in (slice(None), slice(5, 6)):
-            data = json.loads(json.dumps(intact))
-            for row in data["descriptors"][rows]:
-                row[1] = row[2] = value
-            path.write_text(json.dumps(data).replace(f'"{value}"', value))
-            with pytest.raises(ValueError, match="stored descriptors disagree"):
-                load_graph(path)
-
-
-@pytest.mark.parametrize("text", ["5", "null", "[]", '"vertices"'])
-def test_load_rejects_non_object(tmp_path, text):
-    path = tmp_path / "scalar.json"
-    path.write_text(text)
-    with pytest.raises(ValueError, match="scalar.json: top-level value must be an object"):
-        load_graph(path)
-
-
-@pytest.mark.parametrize("vertex_id", [0.9, 1.0, "0", None])
-def test_load_rejects_non_integer_triangle_id(tmp_path, vertex_id):
-    """A triangle vertex id that is not an integer is rejected, not truncated."""
-    rng = np.random.default_rng(16)
-    path = tmp_path / "graph.json"
-    save_graph(triangulate(rng.uniform(0, 50, (80, 2))), path)
-    data = json.loads(path.read_text())
-    data["triangles"][3][1] = vertex_id
-    path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="graph.json: triangle vertex ids must be integers"):
-        load_graph(path)
-
-
-def write_graph_file(path, points, triangles):
-    """Write points and triangles in save_graph's layout, descriptors true to both."""
-    areas, sq_per = triangle_descriptors(points[triangles])
-    data = {
-        "vertices": [[i, float(x), float(y)] for i, (x, y) in enumerate(points)],
-        "triangles": [[i, *map(int, t)] for i, t in enumerate(triangles)],
-        "descriptors": [[i, float(a), float(l)] for i, (a, l) in enumerate(zip(areas, sq_per))],
-    }
-    path.write_text(json.dumps(data))
-
-
-def test_load_rejects_flipped_edge(tmp_path):
-    """Flipping one interior edge leaves a valid, non-Delaunay triangulation."""
-    rng = np.random.default_rng(15)
-    g = triangulate(rng.uniform(0, 50, (60, 2)))
-    tris = g.triangles.copy()
-    for t, k in zip(*np.nonzero(g.neighbors >= 0)):
-        nb = g.neighbors[t, k]
-        c, a, b = (tris[t, (k + j) % 3] for j in range(3))
-        (d,) = set(map(int, tris[nb])) - {a, b}
-        flipped = np.array([[c, a, d], [c, d, b]])
-        p = g.points[flipped]
-        cross = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
-            p[:, 2, 0] - p[:, 0, 0]
-        ) * (p[:, 1, 1] - p[:, 0, 1])
-        if (cross > 0).all():  # convex quad: both new triangles are CCW
-            break
-    tris[[t, nb]] = flipped
-    path = tmp_path / "flipped.json"
-    write_graph_file(path, g.points, tris)
-    with pytest.raises(ValueError, match="not the Delaunay triangulation"):
-        load_graph(path)
-
-
-def test_load_rejects_dropped_triangle(tmp_path):
-    rng = np.random.default_rng(16)
-    g = triangulate(rng.uniform(0, 50, (60, 2)))
-    path = tmp_path / "dropped.json"
-    write_graph_file(path, g.points, np.delete(g.triangles, g.n_triangles // 2, axis=0))
-    with pytest.raises(ValueError, match="not the Delaunay triangulation"):
-        load_graph(path)
-
-
-def test_load_ignores_triangle_row_order_and_rotation(tmp_path):
-    rng = np.random.default_rng(17)
-    pts = rng.uniform(0, 50, (60, 2))
-    g = triangulate(pts)
-    tris = g.triangles[rng.permutation(g.n_triangles)]
-    shifts = rng.integers(0, 3, len(tris))
-    tris = np.array([np.roll(row, s) for row, s in zip(tris, shifts)])
-    assert (shifts > 0).any()
-    path = tmp_path / "shuffled.json"
-    write_graph_file(path, pts, tris)
-    back = load_graph(path)
-    for name in ("points", "triangles", "neighbors", "areas", "sq_perimeters", "star_features"):
-        np.testing.assert_array_equal(getattr(back, name), getattr(g, name))
-    assert back.hull_vertices == g.hull_vertices
+    lines = path.read_text().splitlines()
+    head, row, tail = lines[:4], lines[4], lines[5:]
+    assert row.startswith("3,")
+    cases = [
+        (["id,x,y"] + lines[1:], "bad.csv: unexpected header 'id,x,y'"),
+        (head + ["3,1.0,2.0"] + tail, "bad.csv:5: expected 4 fields"),
+        (head + tail, "bad.csv:5: expected id 3, got '4'"),
+        (head + ["3,nan,2.0,1"] + tail, "bad.csv:5: non-finite coordinate"),
+    ]
+    for edited, message in cases:
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(edited) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_graph(bad)

@@ -1,6 +1,5 @@
 """Tests for forestloc.matching — candidates, correspondence, transforms, localize."""
 
-import json
 import math
 from collections import Counter
 from dataclasses import fields
@@ -42,6 +41,7 @@ from forestloc.matching import (
     localize,
 )
 from forestloc.simulator import ForestSpec, generate_forest
+from forestloc.trunks import TrunkMap
 
 UNIT_L = (2.0 + math.sqrt(2.0)) ** 2
 # The six aligned arrays that hold a result's matches, one row per matched local star.
@@ -267,6 +267,7 @@ def test_estimate_rotation_about_centroid():
     assert residual < 1e-6
 
 
+@pytest.mark.filterwarnings("error")
 def test_unfittable_pair_has_infinite_residual():
     """A pairing with no usable centered vector has no fit: residual inf.
 
@@ -946,35 +947,30 @@ def test_candidate_at_exact_tolerance_kept(monkeypatch):
 
 
 def save_with_flat_triangle(graph, path):
-    """Write graph in save_graph's layout after moving one star's center corner.
+    """Write graph's landmarks as a map file after moving one star's center corner.
 
-    The corner lands on another one, so the star's center triangle has
-    exactly zero area and its descriptors match the moved coordinates.
+    The corner lands on another one, so the file holds a duplicate vertex
+    and the star's center triangle would have exactly zero area.
     """
     star = graph.interior_stars[len(graph.interior_stars) // 2]
     a, _, c = star.center_vertices
     pts = graph.points.copy()
     pts[c] = pts[a]
-    areas, sq_per = triangle_descriptors(pts[graph.triangles])
+    areas, _ = triangle_descriptors(pts[graph.triangles])
     assert (areas == 0).any()
-    data = {
-        "vertices": [[i, float(x), float(y)] for i, (x, y) in enumerate(pts)],
-        "triangles": [[i, *map(int, t)] for i, t in enumerate(graph.triangles)],
-        "descriptors": [[i, float(x), float(y)] for i, (x, y) in enumerate(zip(areas, sq_per))],
-    }
-    path.write_text(json.dumps(data))
+    TrunkMap(positions=pts, support=np.ones(len(pts), dtype=np.intp)).save_csv(path)
 
 
 @pytest.mark.parametrize("tolerance", [0.05, 1.0])
 def test_zero_area_triangle_in_loaded_graphs(monkeypatch, tmp_path, tolerance):
-    """A graph file with a zero-area triangle fails its rebuild on load.
+    """A map file with a duplicate vertex fails to triangulate on load.
 
     Neither the map nor the local graph can bring zero features into the
     search; the intact graphs still match a full scan and the true pose.
     """
     params = MatchParams(feature_tolerance=tolerance)
     g_map, g_loc, truth = make_instance(34, n=150, extent=80.0, window=50.0)
-    for graph, name in ((g_map, "map.json"), (g_loc, "local.json")):
+    for graph, name in ((g_map, "map.csv"), (g_loc, "local.csv")):
         save_with_flat_triangle(graph, tmp_path / name)
         with pytest.raises(DegeneratePointSetError, match="degenerate point set"):
             load_graph(tmp_path / name)

@@ -206,5 +206,5 @@ def test_trunk_map_csv_round_trip(tmp_path):
     assert text[0] == "id,x,y,support"
     back = TrunkMap.load_csv(path)
     assert len(back) == len(tm)
-    np.testing.assert_allclose(back.positions, tm.positions, atol=1e-6)
+    np.testing.assert_array_equal(back.positions, tm.positions)
     np.testing.assert_array_equal(back.support, tm.support)
