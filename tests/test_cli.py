@@ -160,6 +160,21 @@ def test_localize_from_csv(scene, capsys):
     assert set(payload["timings"]) == {"stars", "matching", "verification", "total"}
 
 
+def test_localize_from_graph(scene, tmp_path, capsys):
+    """Graphs written by save_graph are map files: localize one against the other."""
+    base, pose = scene
+    g_map, g_local = tmp_path / "map_graph.csv", tmp_path / "local_graph.csv"
+    save_graph(triangulate(TrunkMap.load_csv(base / "map.csv")), g_map)
+    save_graph(triangulate(TrunkMap.load_csv(base / "local.csv")), g_local)
+    code, payload = localize_payload(
+        capsys, ["localize", "--map", str(g_map), "--local", str(g_local)]
+    )
+    assert code == EXIT_OK
+    assert abs(payload["pose"]["x"] - pose.t[0]) < 1e-3
+    assert abs(payload["pose"]["y"] - pose.t[1]) < 1e-3
+    assert abs(payload["pose"]["theta_deg"] - math.degrees(pose.theta)) < 0.01
+
+
 def test_localize_from_cloud(scene, capsys):
     base, pose = scene
     code, payload = localize_payload(

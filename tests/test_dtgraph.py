@@ -1,6 +1,7 @@
 """Tests for forestloc.dtgraph — triangulation, descriptors, stars, graph files."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -340,3 +341,12 @@ def test_load_rejects_malformed(tmp_path):
         bad.write_text("\n".join(edited) + "\n")
         with pytest.raises(ValueError, match=message):
             load_graph(bad)
+
+
+@pytest.mark.parametrize("text", ["5", "null", "[]", '"vertices"'])
+def test_load_rejects_non_object(tmp_path, text):
+    """A file holding a bare JSON value is not a map file: its first line is no header."""
+    path = tmp_path / "scalar.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"scalar.json: unexpected header {text!r}")):
+        load_graph(path)
