@@ -16,14 +16,11 @@ from .errors import (
     InfeasibleForestError,
     InsufficientMatchesError,
     NoOverlapError,
-    SizeCapError,
 )
 from .geometry import RigidTransform2D, load_xyz, normalize_angle, save_xyz
 from .matching import (
     LocalizationResult,
     MatchParams,
-    OracleResult,
-    brute_force_match_oracle,
     dissimilarity,
     localize,
 )
@@ -70,18 +67,15 @@ __all__ = [
     "LocalizationResult",
     "MatchParams",
     "NoOverlapError",
-    "OracleResult",
     "PipelineResult",
     "RigidTransform2D",
     "SimulatedScan",
-    "SizeCapError",
     "TriangleDescriptor",
     "TriangleStar",
     "TrunkCluster",
     "TrunkExtractionParams",
     "TrunkMap",
     "aggregate_scans",
-    "brute_force_match_oracle",
     "cluster_trunk_points",
     "dissimilarity",
     "extract_trunk_map",

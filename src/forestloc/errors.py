@@ -25,9 +25,5 @@ class NoOverlapError(ForestLocError, RuntimeError):
     """Raised when no local star has any feature-compatible candidate in the map."""
 
 
-class SizeCapError(ForestLocError, ValueError):
-    """Raised when the exhaustive matcher is handed graphs above its size cap."""
-
-
 class InfeasibleForestError(ForestLocError, ValueError):
     """Raised when the requested stand density cannot be packed at the given spacing."""

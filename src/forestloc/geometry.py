@@ -63,10 +63,6 @@ class RigidTransform2D:
         object.__setattr__(self, "theta", normalize_angle(float(self.theta)))
         object.__setattr__(self, "t", t)
 
-    @classmethod
-    def identity(cls) -> "RigidTransform2D":
-        return cls(0.0, np.zeros(2))
-
     def rotation(self) -> np.ndarray:
         c, s = math.cos(self.theta), math.sin(self.theta)
         return np.array([[c, -s], [s, c]])

@@ -16,10 +16,11 @@ from scipy.spatial import cKDTree
 from forestloc.dtgraph import TriangleDescriptor, triangulate
 from forestloc.errors import ForestLocError
 from forestloc.geometry import RigidTransform2D, normalize_angle
-from forestloc.matching import brute_force_match_oracle, dissimilarity, localize
+from forestloc.matching import dissimilarity, localize
 from forestloc.pipeline import BenchmarkConfig, run_benchmark
 from forestloc.simulator import ForestSpec, aggregate_scans, generate_forest, simulate_scan
 from forestloc.trunks import TrunkExtractionParams, extract_trunk_map
+from reference_matcher import MATCH_ARRAYS, brute_force_match_oracle
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -172,10 +173,6 @@ def make_instance(seed, n=45, extent=60.0, window=35.0):
     if not g_loc.interior_stars:
         return None
     return g_map, g_loc
-
-
-# The six aligned arrays that hold a result's matches, one row per matched local star.
-MATCH_ARRAYS = ("local_rows", "map_rows", "paired", "thetas", "translations", "residuals")
 
 
 def test_matches_reference_matcher():

@@ -16,7 +16,7 @@ def test_all_names_resolve_once():
 
 def test_public_names_pinned():
     """The exact public API; a name leaves or joins it only on purpose."""
-    assert len(forestloc.__all__) == 43
+    assert len(forestloc.__all__) == 40
     assert set(forestloc.__all__) == {
         "BenchmarkConfig",
         "BenchmarkDetail",
@@ -32,18 +32,15 @@ def test_public_names_pinned():
         "LocalizationResult",
         "MatchParams",
         "NoOverlapError",
-        "OracleResult",
         "PipelineResult",
         "RigidTransform2D",
         "SimulatedScan",
-        "SizeCapError",
         "TriangleDescriptor",
         "TriangleStar",
         "TrunkCluster",
         "TrunkExtractionParams",
         "TrunkMap",
         "aggregate_scans",
-        "brute_force_match_oracle",
         "cluster_trunk_points",
         "dissimilarity",
         "extract_trunk_map",
@@ -65,7 +62,7 @@ def test_public_names_pinned():
 
 
 def test_import_leaves_out_the_optimizer():
-    """Only the test oracle needs scipy.optimize, so importing forestloc skips it."""
+    """Importing forestloc loads no optimizer: the library uses none of scipy.optimize."""
     code = "import sys, forestloc; print('scipy.optimize' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],

@@ -20,7 +20,6 @@ from forestloc.errors import (
     ForestLocError,
     InsufficientMatchesError,
     NoOverlapError,
-    SizeCapError,
 )
 from forestloc.geometry import TWO_PI, RigidTransform2D, normalize_angle
 from forestloc.matching import (
@@ -36,16 +35,14 @@ from forestloc.matching import (
     _residual,
     _unique_pairs,
     _verify,
-    brute_force_match_oracle,
     dissimilarity,
     localize,
 )
 from forestloc.simulator import ForestSpec, generate_forest
 from forestloc.trunks import TrunkMap
+from reference_matcher import MATCH_ARRAYS, brute_force_match_oracle
 
 UNIT_L = (2.0 + math.sqrt(2.0)) ** 2
-# The six aligned arrays that hold a result's matches, one row per matched local star.
-MATCH_ARRAYS = ("local_rows", "map_rows", "paired", "thetas", "translations", "residuals")
 
 
 def make_graph(seed, n=80, extent=80.0):
@@ -724,13 +721,6 @@ def test_oracle_known_transform():
     np.testing.assert_allclose(out.pose.t, T.t, atol=1e-6)
 
 
-def test_oracle_size_cap():
-    g_small = make_graph(27, n=30, extent=40.0)
-    g_big = make_graph(28, n=60, extent=60.0)
-    with pytest.raises(SizeCapError, match="size cap exceeded"):
-        brute_force_match_oracle(g_small, g_big)
-
-
 def test_pipeline_matches_oracle():
     """localize() agrees with the exhaustive oracle on small instances."""
     checked = 0
@@ -752,6 +742,29 @@ def test_pipeline_matches_oracle():
         for name in MATCH_ARRAYS:
             assert np.array_equal(getattr(res, name), getattr(orc, name))
         checked += 1
+
+
+def test_pipeline_matches_oracle_with_rival_stars():
+    """localize() picks the oracle's star match when a second one competes.
+
+    The map also holds a copy of the window 100 m away with 2 cm noise, so
+    most matched local stars have an exact and a noisy candidate, and the
+    accept rule has to pick the one of least residual.
+    """
+    contested = 0
+    for seed in range(301, 309):
+        g_map, g_loc, T = make_instance(seed, n=45, extent=60.0, window=35.0)
+        rng = np.random.default_rng(seed)
+        rival = T.apply(g_loc.points) + [100.0, 0.0] + rng.normal(0, 0.02, g_loc.points.shape)
+        g_map = triangulate(np.vstack([g_map.points, rival]))
+        res = localize(g_loc, g_map)
+        orc = brute_force_match_oracle(g_loc, g_map)
+        assert abs(res.residual - orc.residual) <= 1e-6
+        for name in MATCH_ARRAYS:
+            assert np.array_equal(getattr(res, name), getattr(orc, name))
+        lrow, _ = _candidates(g_loc, g_map, MatchParams().feature_tolerance)
+        contested += int((np.bincount(lrow)[res.local_rows] > 1).sum())
+    assert contested >= 8
 
 
 def linear_scan_candidates(g_loc, g_map, params):
