@@ -3,7 +3,6 @@
 from .dtgraph import (
     DTGraph,
     TriangleDescriptor,
-    TriangleStar,
     load_graph,
     save_graph,
     triangle_descriptors,
@@ -71,7 +70,6 @@ __all__ = [
     "RigidTransform2D",
     "SimulatedScan",
     "TriangleDescriptor",
-    "TriangleStar",
     "TrunkCluster",
     "TrunkExtractionParams",
     "TrunkMap",

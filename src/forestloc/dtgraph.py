@@ -5,9 +5,9 @@ adjacency, convex-hull membership) with a per-triangle shape descriptor
 (area, squared perimeter) and the derived "triangle stars" used by the
 matcher: a center triangle together with its three edge-adjacent
 neighbors, summarized as an 8-component feature vector.  The stars are
-held as one StarTable of aligned arrays; TriangleStar records are made
-from its rows on demand.  A kd-tree over the logs of the feature
-vectors lets the matcher find similar stars without scanning the table.
+held as one StarTable of aligned arrays, one row per star.  A kd-tree
+over the logs of the feature vectors lets the matcher find similar stars
+without scanning the table.
 
 Descriptors are computed from each triangle's coordinates sorted
 lexicographically, so they come out bitwise identical no matter how the
@@ -79,43 +79,18 @@ class TriangleDescriptor:
     sq_perimeter: float
 
 
-@dataclass(frozen=True)
-class TriangleStar:
-    """A center triangle plus its 3 edge-adjacent neighbors.
-
-    The neighbor order is canonical (ascending area, then squared
-    perimeter, then the id of the center vertex opposite the neighbor) so
-    that feature vectors depend on geometry only.  ``opposite_corners[j]``
-    gives the position in ``center_vertices`` across from ``neighbors[j]``,
-    and ``apex_vertices[j]`` is the one vertex of that neighbor outside the
-    center triangle.
-    """
-
-    center: int
-    neighbors: tuple
-    features: np.ndarray  # (8,) [A0, l0, A1, l1, A2, l2, A3, l3]
-    center_vertices: tuple
-    apex_vertices: tuple
-    opposite_corners: tuple
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float).reshape(8)
-        feats.flags.writeable = False
-        object.__setattr__(self, "features", feats)
-
-
 class StarTable(NamedTuple):
     """The interior stars of a graph, one row per star.
 
     ``vertices`` rows are in pairing order: the center triangle's three
     CCW corners, then the apexes opposite corners 0, 1 and 2.
-    ``opposite_corners`` rows give the corners in canonical neighbor order,
-    the order of the neighbor columns of ``features``.
+    ``features`` rows are [A0, l0, A1, l1, A2, l2, A3, l3]: the center's
+    (area, squared perimeter), then its neighbors' in canonical order,
+    by area, squared perimeter, then the id of the opposite center vertex.
     """
 
     centers: np.ndarray  # (S,) center triangle ids
     vertices: np.ndarray  # (S, 6)
-    opposite_corners: np.ndarray  # (S, 3)
     features: np.ndarray  # (S, 8)
 
 
@@ -184,7 +159,7 @@ class DTGraph:
         features[:, 1] = self.sq_perimeters[centers]
         features[:, 2::2] = self.areas[around]
         features[:, 3::2] = self.sq_perimeters[around]
-        table = StarTable(centers, np.hstack([tri[centers], apex[good]]), order, features)
+        table = StarTable(centers, np.hstack([tri[centers], apex[good]]), features)
         for arr in table:
             arr.flags.writeable = False
         return table
@@ -194,24 +169,11 @@ class DTGraph:
         """(S, 8) feature matrix of star_table, one row per star_table row."""
         return self.star_table.features
 
-    def star(self, row: int) -> TriangleStar:
-        """The record of star_table row ``row``."""
-        table = self.star_table
-        center, order = int(table.centers[row]), table.opposite_corners[row]
-        vertices = table.vertices[row].tolist()
-        return TriangleStar(
-            center=center,
-            neighbors=tuple(self.neighbors[center, order].tolist()),
-            features=table.features[row],
-            center_vertices=tuple(vertices[:3]),
-            apex_vertices=tuple(vertices[3 + k] for k in order.tolist()),
-            opposite_corners=tuple(order.tolist()),
-        )
-
-    @cached_property
-    def interior_stars(self) -> tuple:
-        """One TriangleStar record per star_table row."""
-        return tuple(self.star(row) for row in range(len(self.star_table.centers)))
+    @property
+    def interior_stars(self) -> np.ndarray:
+        """(S,) star_table.centers, read-only.  Kept for perfbench, whose set_up
+        and _localize_traced count stars as len(graph.interior_stars)."""
+        return self.star_table.centers
 
     @cached_property
     def star_index(self) -> cKDTree:

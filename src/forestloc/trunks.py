@@ -10,7 +10,7 @@ cluster is reduced to a 2D centroid landmark.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix

@@ -53,7 +53,7 @@ def test_self_localization_exact():
         if len(window) < 15:
             continue
         g_loc = triangulate(window)
-        if not g_loc.interior_stars:
+        if len(g_loc.star_features) == 0:
             continue
         res = localize(g_loc, g_map)
         worst_t = max(worst_t, float(np.abs(res.pose.t).max()))
@@ -170,7 +170,7 @@ def make_instance(seed, n=45, extent=60.0, window=35.0):
         return None
     T = RigidTransform2D(rng.uniform(-math.pi, math.pi), rng.uniform(-100, 100, 2))
     g_loc = triangulate(T.inverse().apply(pts[mask]))
-    if not g_loc.interior_stars:
+    if len(g_loc.star_features) == 0:
         return None
     return g_map, g_loc
 

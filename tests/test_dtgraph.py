@@ -225,32 +225,34 @@ def test_isoperimetric_invariant():
 
 def test_single_triangle_no_stars():
     g = triangulate(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    assert g.interior_stars == ()
+    assert g.star_table.centers.shape == (0,)
+    assert g.star_table.vertices.shape == (0, 6)
+    assert g.star_features.shape == (0, 8)
 
 
 def test_grid_3x3_stars_match_oracle():
     pts = np.array([[float(i), float(j)] for i in range(3) for j in range(3)])
     g = triangulate(pts)
-    got = sorted(s.center for s in g.interior_stars)
+    got = sorted(g.star_table.centers.tolist())
     assert got == enumerate_stars_oracle(g)
 
 
 def test_grid_4x4_stars_match_oracle():
     pts = np.array([[float(i), float(j)] for i in range(4) for j in range(4)])
     g = triangulate(pts)
-    stars = g.interior_stars
-    assert len(stars) > 0
-    assert sorted(s.center for s in stars) == enumerate_stars_oracle(g)
+    centers = g.star_table.centers
+    assert len(centers) > 0
+    assert sorted(centers.tolist()) == enumerate_stars_oracle(g)
 
 
 def test_random_graph_star_predicates():
     """Exhaustive check: 3 neighbors and zero hull vertices per star."""
     rng = np.random.default_rng(9)
     g = triangulate(rng.uniform(0, 80, (200, 2)))
-    stars = g.interior_stars
-    assert sorted(s.center for s in stars) == enumerate_stars_oracle(g)
-    for s, ids in zip(stars, g.star_table.vertices.tolist(), strict=True):
-        assert (g.neighbors[s.center] >= 0).all()
+    table = g.star_table
+    assert sorted(table.centers.tolist()) == enumerate_stars_oracle(g)
+    for center, ids in zip(table.centers, table.vertices.tolist(), strict=True):
+        assert (g.neighbors[center] >= 0).all()
         assert not (set(ids) & g.hull_vertices)
         assert len(set(ids)) == 6
 
@@ -259,16 +261,14 @@ def test_star_features_layout():
     """features = [A0,l0,A1,l1,A2,l2,A3,l3] with neighbors in canonical order."""
     rng = np.random.default_rng(10)
     g = triangulate(rng.uniform(0, 60, (120, 2)))
-    for s in g.interior_stars[:20]:
-        d0 = g.descriptor(s.center)
-        assert s.features[0] == d0.area and s.features[1] == d0.sq_perimeter
-        keys = []
-        for i, nb in enumerate(s.neighbors):
-            d = g.descriptor(nb)
-            assert s.features[2 + 2 * i] == d.area
-            assert s.features[3 + 2 * i] == d.sq_perimeter
-            keys.append((d.area, d.sq_perimeter))
-        assert keys == sorted(keys)
+    table = g.star_table
+    assert len(table.centers) >= 20
+    for center, feats in zip(table.centers.tolist(), table.features.tolist(), strict=True):
+        d0 = g.descriptor(center)
+        assert feats[:2] == [d0.area, d0.sq_perimeter]
+        around = [g.descriptor(nb) for nb in g.neighbors[center].tolist()]
+        want = sorted((d.area, d.sq_perimeter) for d in around)
+        assert list(zip(feats[2::2], feats[3::2])) == want
 
 
 def test_canonical_order_input_permutation():
@@ -279,28 +279,32 @@ def test_canonical_order_input_permutation():
     g1 = triangulate(pts)
     g2 = triangulate(pts[perm])
 
-    def star_table(g):
+    def features_by_center(g):
         table = {}
-        for s in g.interior_stars:
-            key = tuple(sorted(map(tuple, g.points[list(s.center_vertices)])))
-            table[key] = tuple(s.features)
+        for ids, feats in zip(g.star_table.vertices[:, :3], g.star_features, strict=True):
+            key = tuple(sorted(map(tuple, g.points[ids].tolist())))
+            table[key] = tuple(feats)
         return table
 
-    t1, t2 = star_table(g1), star_table(g2)
+    t1, t2 = features_by_center(g1), features_by_center(g2)
     assert set(t1) == set(t2)
     for key in t1:
         np.testing.assert_allclose(t1[key], t2[key], rtol=1e-12)
 
 
 def test_apex_vertices():
-    """Each apex is the neighbor's vertex not shared with the center."""
+    """Rows are in pairing order: the center's corners, then for each corner k
+    the vertex of the neighbor across from it that lies outside the center."""
     rng = np.random.default_rng(12)
     g = triangulate(rng.uniform(0, 60, (100, 2)))
-    for s in g.interior_stars:
-        center_set = set(map(int, g.triangles[s.center]))
-        for nb, apex in zip(s.neighbors, s.apex_vertices):
-            nb_set = set(map(int, g.triangles[nb]))
-            assert nb_set - center_set == {apex}
+    table = g.star_table
+    assert len(table.centers) > 0
+    for center, ids in zip(table.centers.tolist(), table.vertices.tolist(), strict=True):
+        assert ids[:3] == g.triangles[center].tolist()
+        center_set = set(ids[:3])
+        for k, nb in enumerate(g.neighbors[center].tolist()):
+            nb_set = set(g.triangles[nb].tolist())
+            assert nb_set - center_set == {ids[3 + k]}
 
 
 def test_save_load_round_trip(tmp_path):

@@ -774,17 +774,15 @@ def linear_scan_candidates(g_loc, g_map, params):
     local star's is within tolerance; passing stars are ordered by summed
     deviation, then table index, and capped.
     """
-    table = g_map.star_features
+    table, centers = g_map.star_features, g_map.star_table.centers.tolist()
     out = []
-    for ls in g_loc.interior_stars:
-        rel = np.abs(table - ls.features) / ls.features
+    for features in g_loc.star_features:
+        rel = np.abs(table - features) / features
         passing = [
             i for i in range(len(table)) if all(r <= params.feature_tolerance for r in rel[i])
         ]
         passing.sort(key=lambda i: (rel[i].sum(), i))
-        out.append(
-            [g_map.interior_stars[i].center for i in passing[:_MAX_CANDIDATES_PER_STAR]]
-        )
+        out.append([centers[i] for i in passing[:_MAX_CANDIDATES_PER_STAR]])
     return out
 
 
@@ -920,7 +918,7 @@ def test_maps_with_few_stars(monkeypatch, tolerance):
         angles = np.sort(rng.uniform(0.0, TWO_PI, n))
         # convex position: every triangle has a hull edge, so no star is interior
         g_map = triangulate(np.column_stack([30.0 * np.cos(angles), 20.0 * np.sin(angles)]))
-        assert len(g_map.interior_stars) == 0
+        assert len(g_map.star_features) == 0
         with pytest.raises(NoOverlapError, match="no overlap"):
             localize(g_loc, g_map, params)
         with pytest.raises(NoOverlapError, match="no overlap"):
@@ -934,7 +932,7 @@ def test_maps_with_few_stars(monkeypatch, tolerance):
         _, got = localize_recording_candidates(monkeypatch, g_loc, g_map, params)
         assert got == linear_scan_candidates(g_loc, g_map, params)
         assert any(got)
-        sizes.append(len(g_map.interior_stars))
+        sizes.append(len(g_map.star_features))
     assert 0 < min(sizes) and max(sizes) < _KNN_HITS
 
 
@@ -950,13 +948,14 @@ def test_candidate_at_exact_tolerance_kept(monkeypatch):
     g_loc = triangulate(pts)
     g_map = triangulate(pts * 0.9996)
     np.testing.assert_array_equal(g_map.triangles, g_loc.triangles)
-    assert len(g_loc.interior_stars) >= 5
-    for k, (ls, gs) in enumerate(zip(g_loc.interior_stars, g_map.interior_stars)):
-        assert gs.center == ls.center
-        tolerance = float((np.abs(gs.features - ls.features) / ls.features).max())
+    centers = g_loc.star_table.centers
+    assert len(centers) >= 5
+    np.testing.assert_array_equal(g_map.star_table.centers, centers)
+    for k, (lf, gf) in enumerate(zip(g_loc.star_features, g_map.star_features, strict=True)):
+        tolerance = float((np.abs(gf - lf) / lf).max())
         params = MatchParams(feature_tolerance=tolerance)
         _, got = localize_recording_candidates(monkeypatch, g_loc, g_map, params)
-        assert gs.center in got[k]
+        assert centers[k] in got[k]
 
 
 def save_with_flat_triangle(graph, path):
@@ -965,8 +964,8 @@ def save_with_flat_triangle(graph, path):
     The corner lands on another one, so the file holds a duplicate vertex
     and the star's center triangle would have exactly zero area.
     """
-    star = graph.interior_stars[len(graph.interior_stars) // 2]
-    a, _, c = star.center_vertices
+    vertices = graph.star_table.vertices
+    a, _, c = vertices[len(vertices) // 2, :3]
     pts = graph.points.copy()
     pts[c] = pts[a]
     areas, _ = triangle_descriptors(pts[graph.triangles])
