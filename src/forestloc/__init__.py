@@ -41,7 +41,6 @@ from .simulator import (
     simulate_scan,
 )
 from .trunks import (
-    TrunkCluster,
     TrunkExtractionParams,
     TrunkMap,
     cluster_trunk_points,
@@ -70,7 +69,6 @@ __all__ = [
     "RigidTransform2D",
     "SimulatedScan",
     "TriangleDescriptor",
-    "TrunkCluster",
     "TrunkExtractionParams",
     "TrunkMap",
     "aggregate_scans",

@@ -194,17 +194,14 @@ class DTGraph:
 def triangulate(landmarks) -> DTGraph:
     """Delaunay-triangulate a TrunkMap or (N, 2) coordinate array.
 
-    Raises DegeneratePointSetError for fewer than 3 points, coincident
-    points, an all-collinear set, or a triangle whose area is not positive
-    or whose squared perimeter is not finite.
+    Raises DegeneratePointSetError for fewer than 3 points, an
+    all-collinear set, a landmark Qhull leaves out of every triangle (an
+    exact or near duplicate of another), or a triangle whose area is not
+    positive or whose squared perimeter is not finite.
     """
     pts = getattr(landmarks, "positions", landmarks)
     pts = as_points2(pts)
     if len(pts) < 3:
-        raise DegeneratePointSetError("degenerate point set")
-    # equal rows are adjacent once sorted; == counts 0.0 and -0.0 as equal
-    ordered = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
         raise DegeneratePointSetError("degenerate point set")
     try:
         tri = Delaunay(pts)
@@ -212,7 +209,7 @@ def triangulate(landmarks) -> DTGraph:
         raise DegeneratePointSetError("degenerate point set") from exc
     simplices = np.array(tri.simplices, dtype=np.intp)
     neighbors = np.array(tri.neighbors, dtype=np.intp)
-    if len(simplices) == 0:
+    if not np.bincount(simplices.ravel(), minlength=len(pts)).all():
         raise DegeneratePointSetError("degenerate point set")
     coords = pts[simplices]
     cross = (coords[:, 1, 0] - coords[:, 0, 0]) * (coords[:, 2, 1] - coords[:, 0, 1]) - (

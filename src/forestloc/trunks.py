@@ -3,14 +3,16 @@
 A lidar return belongs to a trunk when the cloud also has geometry directly
 above it: probing straight up from a ground-level hit lands inside the same
 trunk, while probing up from ground or low vegetation lands in empty space.
-Surviving points are grouped into per-tree clusters by proximity and each
-cluster is reduced to a 2D centroid landmark.
+Surviving points are grouped into per-tree clusters by proximity.  The
+clusters stay one label per point: np.bincount over the labels gives each
+cluster's size and 2D centroid, the landmark.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -46,19 +48,11 @@ class TrunkExtractionParams:
             raise ValueError("min_cluster_size must be at least 1")
 
 
-@dataclass(frozen=True)
-class TrunkCluster:
+class TrunkCluster(NamedTuple):
+    """One row of the cluster arrays as a record: what cluster_trunk_points returns."""
+
     centroid: np.ndarray  # (2,) mean of member x, y
     size: int
-    member_indices: np.ndarray  # indices into the trunk-candidate subset, ascending
-
-    def __post_init__(self):
-        c = np.asarray(self.centroid, dtype=float).reshape(2)
-        c.flags.writeable = False
-        m = np.asarray(self.member_indices, dtype=np.intp)
-        m.flags.writeable = False
-        object.__setattr__(self, "centroid", c)
-        object.__setattr__(self, "member_indices", m)
 
 
 @dataclass(frozen=True)
@@ -140,57 +134,43 @@ def select_trunk_points(cloud, params: TrunkExtractionParams | None = None) -> n
     return np.flatnonzero(dists <= params.probe_tolerance)
 
 
-def cluster_trunk_points(
-    points2, params: TrunkExtractionParams | None = None
-) -> list[TrunkCluster]:
-    """Single-linkage clusters of 2D points at cluster_tolerance.
+def _cluster_landmarks(points2, params: TrunkExtractionParams) -> tuple[np.ndarray, np.ndarray]:
+    """(centroids (M, 2), sizes (M,)) of the single-linkage clusters of 2D points.
 
     Two points share a cluster when a chain of hops, each at most
     cluster_tolerance long, connects them.  Clusters smaller than
-    min_cluster_size are discarded.  Output is ordered by each cluster's
-    lowest member index, so equal inputs give identical cluster lists.
+    min_cluster_size are dropped.  Rows come in label order, and
+    connected_components numbers components by their lowest point index,
+    so rows are ordered by each cluster's lowest member index.  A centroid
+    is the mean of its members' x and y, summed in point order.
     """
-    params = params or TrunkExtractionParams()
     pts = as_points2(points2)
     n = len(pts)
-    if n == 0:
-        return []
-    tree = cKDTree(pts)
-    pairs = tree.query_pairs(params.cluster_tolerance, output_type="ndarray")
-    if len(pairs) == 0:
-        adj = coo_matrix((n, n))
-    else:
-        ones = np.ones(len(pairs))
-        adj = coo_matrix((ones, (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    n_comp, labels = connected_components(adj, directed=False)
+    pairs = cKDTree(pts).query_pairs(params.cluster_tolerance, output_type="ndarray")
+    adj = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    _, labels = connected_components(adj, directed=False)
+    sizes = np.bincount(labels)
+    sums = np.column_stack([np.bincount(labels, weights=pts[:, k]) for k in (0, 1)])
+    keep = sizes >= params.min_cluster_size
+    return sums[keep] / sizes[keep, None], sizes[keep]
 
-    order = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[order], np.arange(n_comp + 1))
-    clusters = []
-    for c in range(n_comp):
-        members = order[bounds[c] : bounds[c + 1]]
-        if len(members) < params.min_cluster_size:
-            continue
-        members = np.sort(members)
-        clusters.append(
-            TrunkCluster(
-                centroid=pts[members].mean(axis=0),
-                size=len(members),
-                member_indices=members,
-            )
-        )
-    clusters.sort(key=lambda cl: int(cl.member_indices[0]))
-    return clusters
+
+def cluster_trunk_points(
+    points2, params: TrunkExtractionParams | None = None
+) -> list[TrunkCluster]:
+    """_cluster_landmarks rows as TrunkCluster records, in the same order.
+
+    Kept because perfbench/workloads.py (run_traced) times clustering on
+    its own and reads each record's .centroid and .size.
+    """
+    centroids, sizes = _cluster_landmarks(points2, params or TrunkExtractionParams())
+    return [TrunkCluster(c, int(s)) for c, s in zip(centroids, sizes)]
 
 
 def extract_trunk_map(cloud, params: TrunkExtractionParams | None = None) -> TrunkMap:
-    """Full extraction: probe test, clustering, centroid landmarks."""
+    """Full extraction: probe test, clustering, one centroid landmark per cluster row."""
     params = params or TrunkExtractionParams()
     pts = as_cloud(cloud)
     keep = select_trunk_points(pts, params)
-    clusters = cluster_trunk_points(pts[keep][:, :2], params)
-    if not clusters:
-        return TrunkMap(positions=np.zeros((0, 2)), support=np.zeros(0, dtype=np.intp))
-    positions = np.array([c.centroid for c in clusters])
-    support = np.array([c.size for c in clusters], dtype=np.intp)
+    positions, support = _cluster_landmarks(pts[keep][:, :2], params)
     return TrunkMap(positions=positions, support=support)

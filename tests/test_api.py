@@ -23,7 +23,7 @@ def test_all_names_resolve_once():
 
 def test_public_names_pinned():
     """The exact public API; a name leaves or joins it only on purpose."""
-    assert len(forestloc.__all__) == 39
+    assert len(forestloc.__all__) == 38
     assert set(forestloc.__all__) == {
         "BenchmarkConfig",
         "BenchmarkDetail",
@@ -43,7 +43,6 @@ def test_public_names_pinned():
         "RigidTransform2D",
         "SimulatedScan",
         "TriangleDescriptor",
-        "TrunkCluster",
         "TrunkExtractionParams",
         "TrunkMap",
         "aggregate_scans",

@@ -148,7 +148,11 @@ def test_degenerate_duplicates():
     far = rng.uniform(0, 50, (40, 2))
     far[-1] = far[0]
     signed = np.array([[0.0, 3.0], [5.0, 0.0], [4.0, 4.0], [-0.0, 3.0]])
-    for pts in (far, signed):
+    # a near duplicate 1e-13 m from landmark 10: Qhull leaves it out of every triangle
+    rng = np.random.default_rng(0)
+    near = rng.uniform(0, 50, (60, 2))
+    near = np.vstack([near, near[10] + 1e-13])
+    for pts in (far, signed, near):
         with pytest.raises(DegeneratePointSetError, match="degenerate point set"):
             triangulate(pts)
         triangulate(pts[:-1])

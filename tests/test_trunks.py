@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from forestloc.errors import EmptyCloudError
+from forestloc.geometry import RigidTransform2D
+from forestloc.simulator import ForestSpec, aggregate_scans, generate_forest, simulate_scan
 from forestloc.trunks import (
     TrunkExtractionParams,
     TrunkMap,
@@ -126,15 +128,91 @@ def test_cluster_empty_input():
     assert cluster_trunk_points(np.zeros((0, 2)), TrunkExtractionParams()) == []
 
 
-def test_cluster_partition():
-    """Every point lands in exactly one cluster before size filtering."""
+CLOUD_PARAMS = TrunkExtractionParams(probe_tolerance=0.25)
+
+
+def three_scan_cloud():
+    """Three simulated scans 1 m apart in a 60 m stand, aggregated."""
+    forest = generate_forest(ForestSpec(area=(60.0, 60.0), density=350.0, seed=3))
+    scans = [
+        simulate_scan(forest, RigidTransform2D(0.2, np.array([28.0 + k, 30.0])), seed=[3, k])
+        for k in range(3)
+    ]
+    return aggregate_scans(scans)
+
+
+def single_linkage_oracle(pts, params):
+    """(centroids, sizes) by breadth-first search over all pairs, O(n^2).
+
+    Points within cluster_tolerance (by np.hypot) are linked; groups are
+    numbered by their lowest member, and each centroid is the mean of its
+    members in ascending index order.
+    """
+    label = np.full(len(pts), -1)
+    groups = []
+    for start in range(len(pts)):
+        if label[start] >= 0:
+            continue
+        label[start] = len(groups)
+        members, frontier = [start], [start]
+        while frontier:
+            d = np.hypot(*(pts - pts[frontier.pop()]).T)
+            near = np.flatnonzero((d <= params.cluster_tolerance) & (label < 0))
+            label[near] = len(groups)
+            members.extend(near)
+            frontier.extend(near)
+        groups.append(np.sort(members))
+    kept = [g for g in groups if len(g) >= params.min_cluster_size]
+    centroids = np.array([pts[g].mean(axis=0) for g in kept]).reshape(-1, 2)
+    return centroids, np.array([len(g) for g in kept])
+
+
+def oracle_inputs():
+    """(name, (N, 2) points) instances for the clustering oracle."""
     rng = np.random.default_rng(6)
-    centers = rng.uniform(0, 50, (6, 2))
-    pts = np.vstack([c + rng.uniform(-0.2, 0.2, (40, 2)) for c in centers])
-    params = TrunkExtractionParams(min_cluster_size=1)
-    clusters = cluster_trunk_points(pts, params)
-    members = sorted(i for c in clusters for i in c.member_indices)
-    assert members == list(range(len(pts)))
+    # groups on both sides of the default size cut of 30, in shuffled order
+    sizes = [40, 12, 30, 3, 50, 29, 1]
+    centers = rng.uniform(0, 50, (len(sizes), 2))
+    groups = np.vstack([c + rng.uniform(-0.2, 0.2, (k, 2)) for c, k in zip(centers, sizes)])
+    yield "random groups", groups[rng.permutation(len(groups))]
+    # two interleaved chains with links of exactly cluster_tolerance (0.5 m),
+    # 0.5 m + 2**-30 apart, so each chain is one cluster
+    steps = 0.5 * np.arange(35.0)
+    chain_a = np.column_stack([steps, np.zeros(35)])
+    chain_b = np.column_stack([steps, np.full(35, 0.5 + 2.0**-30)])
+    yield "exact-tolerance chains", np.stack([chain_a, chain_b], axis=1).reshape(-1, 2)
+    # exact duplicates: copies of group points, and an isolated duplicate pair
+    copies = groups[rng.choice(len(groups), 25, replace=False)]
+    yield "duplicates", np.vstack([groups, copies, [[80.0, 80.0], [80.0, 80.0]]])
+    cloud = three_scan_cloud()
+    keep = select_trunk_points(cloud, CLOUD_PARAMS)
+    yield "3-scan cloud", cloud[keep][:, :2]
+
+
+@pytest.mark.parametrize("min_cluster_size", [1, 30])
+def test_clusters_match_oracle(min_cluster_size):
+    """Order, sizes and centroids equal the all-pairs oracle, bit for bit."""
+    params = TrunkExtractionParams(probe_tolerance=0.25, min_cluster_size=min_cluster_size)
+    for name, pts in oracle_inputs():
+        want_centroids, want_sizes = single_linkage_oracle(pts, params)
+        assert len(want_sizes) >= 2, name
+        clusters = cluster_trunk_points(pts, params)
+        got_centroids = np.array([c.centroid for c in clusters]).reshape(-1, 2)
+        np.testing.assert_array_equal([c.size for c in clusters], want_sizes, err_msg=name)
+        np.testing.assert_array_equal(got_centroids, want_centroids, err_msg=name)
+        if min_cluster_size == 1:
+            assert sum(want_sizes) == len(pts), name
+
+
+def test_extract_matches_oracle():
+    """extract_trunk_map's landmarks are the oracle's clusters of the kept points."""
+    cloud = three_scan_cloud()
+    tm = extract_trunk_map(cloud, CLOUD_PARAMS)
+    keep = select_trunk_points(cloud, CLOUD_PARAMS)
+    want_centroids, want_sizes = single_linkage_oracle(cloud[keep][:, :2], CLOUD_PARAMS)
+    assert len(tm) >= 10
+    np.testing.assert_array_equal(tm.positions, want_centroids)
+    np.testing.assert_array_equal(tm.support, want_sizes)
 
 
 def test_cluster_chain_connectivity():
