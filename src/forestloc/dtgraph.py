@@ -86,7 +86,8 @@ class StarTable(NamedTuple):
     CCW corners, then the apexes opposite corners 0, 1 and 2.
     ``features`` rows are [A0, l0, A1, l1, A2, l2, A3, l3]: the center's
     (area, squared perimeter), then its neighbors' in canonical order,
-    by area, squared perimeter, then the id of the opposite center vertex.
+    by area, then squared perimeter.  Neighbors tied on both write the
+    same four values, so no further key is needed.
     """
 
     centers: np.ndarray  # (S,) center triangle ids
@@ -144,15 +145,14 @@ class DTGraph:
         on_hull[list(self.hull_vertices)] = True
         cand = np.flatnonzero((nb >= 0).all(axis=1) & ~on_hull[tri].any(axis=1))
         # apex of the neighbor opposite corner k: its vertex sum minus the shared edge
-        apex = tri[nb[cand]].sum(axis=2) - tri[cand].sum(axis=1, keepdims=True) + tri[cand]
+        tsum = tri.sum(axis=1)
+        apex = tsum[nb[cand]] - tsum[cand][:, None] + tri[cand]
         good = ~on_hull[apex].any(axis=1)
         good &= (apex[:, 0] != apex[:, 1]) & (apex[:, 1] != apex[:, 2])
         good &= apex[:, 0] != apex[:, 2]
         centers = cand[good]
         around = nb[centers]
-        order = np.lexsort(
-            (tri[centers], self.sq_perimeters[around], self.areas[around]), axis=1
-        )
+        order = np.lexsort((self.sq_perimeters[around], self.areas[around]), axis=1)
         around = np.take_along_axis(around, order, axis=1)
         features = np.empty((len(centers), 8))
         features[:, 0] = self.areas[centers]
@@ -219,17 +219,21 @@ def triangulate(landmarks) -> DTGraph:
     # swapping two vertices flips orientation; neighbor columns track their vertices
     simplices[flip] = simplices[flip][:, [0, 2, 1]]
     neighbors[flip] = neighbors[flip][:, [0, 2, 1]]
-    areas, sq_per = triangle_descriptors(pts[simplices])
+    # descriptors sort each triangle's corners, so the flip cannot change them
+    areas, sq_per = triangle_descriptors(coords)
     if not ((areas > 0.0).all() and np.isfinite(sq_per).all()):
         raise DegeneratePointSetError("degenerate point set")
-    hull = ConvexHull(pts)
+    # every extreme point ends a boundary edge, the edge opposite a -1 neighbor
+    t, k = np.nonzero(neighbors == -1)
+    boundary = np.unique(simplices[t[:, None], (k[:, None] + [1, 2]) % 3])
+    hull = boundary[ConvexHull(pts[boundary]).vertices]
     return DTGraph(
         points=pts.copy(),
         triangles=simplices,
         neighbors=neighbors,
         areas=areas,
         sq_perimeters=sq_per,
-        hull_vertices=frozenset(int(v) for v in hull.vertices),
+        hull_vertices=frozenset(hull.tolist()),
     )
 
 

@@ -55,6 +55,11 @@ class TrunkCluster(NamedTuple):
     size: int
 
 
+_CSV_HEADER = "id,x,y,support"
+# One landmark row.  The id stays text, so "03" or "+3" is not read as 3.
+_CSV_ROW = np.dtype([("id", "U20"), ("x", np.float64), ("y", np.float64), ("support", np.int64)])
+
+
 @dataclass(frozen=True)
 class TrunkMap:
     """2D trunk landmarks with per-landmark support (cluster point count)."""
@@ -78,7 +83,7 @@ class TrunkMap:
     def save_csv(self, path) -> None:
         """Write "id,x,y,support" rows; floats in shortest round-trip form."""
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("id,x,y,support\n")
+            fh.write(_CSV_HEADER + "\n")
             for i, ((x, y), s) in enumerate(zip(self.positions, self.support)):
                 fh.write(f"{i},{float(x)!r},{float(y)!r},{int(s)}\n")
 
@@ -87,34 +92,75 @@ class TrunkMap:
         """Read a file written by save_csv.
 
         Row ids must run 0, 1, 2, ... in file order, since a landmark's id
-        is its row in positions.  A bad header, row, id or coordinate
-        raises ValueError naming the path and line.
+        is its row in positions.  Blank lines are skipped, and each line is
+        stripped of surrounding whitespace.  The rows are parsed and checked
+        as arrays; a bad header, row, id or coordinate raises ValueError
+        naming the path and the first bad line.
         """
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
-            if header != "id,x,y,support":
+            if header != _CSV_HEADER:
                 raise ValueError(f"{path}: unexpected header {header!r}")
-            xs, ys, sups = [], [], []
-            for lineno, line in enumerate(fh, start=2):
-                text = line.strip()
-                if not text:
-                    continue
-                parts = text.split(",")
-                if len(parts) != 4:
-                    raise ValueError(f"{path}:{lineno}: expected 4 fields")
-                if parts[0] != str(len(xs)):
-                    raise ValueError(f"{path}:{lineno}: expected id {len(xs)}, got {parts[0]!r}")
-                try:
-                    x, y, s = float(parts[1]), float(parts[2]), int(parts[3])
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise ValueError(f"{path}:{lineno}: non-finite coordinate")
-                xs.append(x)
-                ys.append(y)
-                sups.append(s)
-        positions = np.column_stack([xs, ys]) if xs else np.zeros((0, 2))
-        return cls(positions=positions, support=np.array(sups, dtype=np.intp))
+            lines = list(map(str.strip, fh.read().split("\n")))
+        rows = _parse_rows(lines)
+        if rows is None or not _rows_ok(rows).all():
+            raise _first_bad_line(path, lines)
+        positions = np.column_stack([rows["x"], rows["y"]])
+        return cls(positions=positions, support=rows["support"])
+
+
+def _parse_rows(lines) -> np.ndarray | None:
+    """The non-empty lines as _CSV_ROW records, or None when a line does not
+    have 4 comma-separated fields, a number does not parse or a NUL appears
+    (the text dtype would drop one that ends an id)."""
+    if not any(lines):
+        return np.empty(0, dtype=_CSV_ROW)
+    if "\x00" in "".join(lines):
+        return None
+    try:
+        return np.loadtxt(lines, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+
+
+def _rows_ok(rows, first_id: int = 0) -> np.ndarray:
+    """Per row: its id is str(first_id + row) and its x and y are finite."""
+    ids = np.arange(first_id, first_id + len(rows)).astype(_CSV_ROW["id"])
+    return (rows["id"] == ids) & np.isfinite(rows["x"]) & np.isfinite(rows["y"])
+
+
+def _first_bad_line(path, lines) -> ValueError:
+    """The error for the first line that _parse_rows or _rows_ok rejects.
+
+    Checks run line by line in the order fields, id, numbers, finiteness,
+    so a line with several faults is named for the first.
+    """
+    row = 0
+    for lineno, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 4:
+            return ValueError(f"{path}:{lineno}: expected 4 fields")
+        if fields[0] != str(row):
+            return ValueError(f"{path}:{lineno}: expected id {row}, got {fields[0]!r}")
+        parsed = _parse_rows([line])
+        if parsed is None:
+            return ValueError(f"{path}:{lineno}: {_number_error(fields[1:])}")
+        if not _rows_ok(parsed, row)[0]:
+            return ValueError(f"{path}:{lineno}: non-finite coordinate")
+        row += 1
+    return ValueError(f"{path}: unreadable rows")
+
+
+def _number_error(fields) -> str:
+    """Python's message for the first of x, y, support that float or int rejects."""
+    for text, convert in zip(fields, (float, float, int)):
+        try:
+            convert(text)
+        except ValueError as exc:
+            return str(exc)
+    return f"could not convert {','.join(fields)!r} to x, y and support"
 
 
 def select_trunk_points(cloud, params: TrunkExtractionParams | None = None) -> np.ndarray:

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from forestloc.dtgraph import (
     DTGraph,
@@ -15,6 +16,7 @@ from forestloc.dtgraph import (
 )
 from forestloc.errors import DegeneratePointSetError
 from forestloc.geometry import RigidTransform2D
+from forestloc.simulator import ForestSpec, generate_forest
 
 UNIT_RIGHT_SQ_PERIMETER = (2.0 + math.sqrt(2.0)) ** 2  # 11.65685424949238
 
@@ -168,8 +170,6 @@ def test_euler_formula():
 
 def test_hull_area_tiling():
     """Triangle areas sum to the hull polygon area."""
-    from scipy.spatial import ConvexHull
-
     rng = np.random.default_rng(5)
     pts = rng.uniform(0, 40, (120, 2))
     g = triangulate(pts)
@@ -311,14 +311,33 @@ def test_apex_vertices():
             assert nb_set - center_set == {ids[3 + k]}
 
 
+def test_hull_vertices_match_full_hull():
+    """hull_vertices equals the extreme points of a Qhull pass over every point,
+    collinear boundary points excluded, also on grids and jittered grids."""
+    rng = np.random.default_rng(17)
+    clouds = [rng.uniform(0, 50, (n, 2)) for n in (3, 4, 10, 100, 1000)]
+    for rows, cols in ((2, 2), (3, 5), (8, 8), (20, 13)):
+        grid = np.array([[float(i), float(j)] for i in range(rows) for j in range(cols)])
+        clouds += [grid, grid * 1.5 + 1000.0, grid + rng.normal(0.0, 1e-12, grid.shape)]
+    for pts in clouds:
+        want = set(ConvexHull(pts).vertices.tolist())
+        assert triangulate(pts).hull_vertices == want
+
+
 def test_save_load_round_trip(tmp_path):
-    rng = np.random.default_rng(13)
-    g = triangulate(rng.uniform(0, 50, (70, 2)))
+    """A 2,000-landmark stand loads back to the same graph, stars and hull."""
+    forest = generate_forest(ForestSpec(area=(250.0, 250.0), density=320.0, seed=13))
+    g = triangulate(forest.to_trunk_map())
+    assert g.n_vertices == 2000
     path = tmp_path / "graph.csv"
     save_graph(g, path)
     back = load_graph(path)
-    for name in ("points", "triangles", "neighbors", "areas", "sq_perimeters", "star_features"):
-        np.testing.assert_array_equal(getattr(back, name), getattr(g, name))
+    for name in ("points", "triangles", "neighbors", "areas", "sq_perimeters"):
+        got, want = getattr(back, name), getattr(g, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for got, want in zip(back.star_table, g.star_table, strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert len(g.star_table.centers) > 1000
     assert back.hull_vertices == g.hull_vertices
 
 
@@ -338,17 +357,44 @@ def test_load_rejects_malformed(tmp_path):
     lines = path.read_text().splitlines()
     head, row, tail = lines[:4], lines[4], lines[5:]
     assert row.startswith("3,")
+    short = head + ["3,1.0,2.0"] + tail
     cases = [
         (["id,x,y"] + lines[1:], "bad.csv: unexpected header 'id,x,y'"),
-        (head + ["3,1.0,2.0"] + tail, "bad.csv:5: expected 4 fields"),
+        (short, "bad.csv:5: expected 4 fields"),
         (head + tail, "bad.csv:5: expected id 3, got '4'"),
         (head + ["3,nan,2.0,1"] + tail, "bad.csv:5: non-finite coordinate"),
+        # a blank line is skipped but still counts toward the line number
+        (head + [""] + short[4:], "bad.csv:6: expected 4 fields"),
+        (head + ["03" + row[1:]] + tail, "bad.csv:5: expected id 3, got '03'"),
+        (head + [row.rsplit(",", 1)[0] + ",1.5"] + tail,
+         "bad.csv:5: invalid literal for int() with base 10: '1.5'"),
+        (head + ["3,null,2.0,1"] + tail, "bad.csv:5: could not convert string to float: 'null'"),
+        # numbers are read by NumPy, which takes no digit separators
+        (head + ["3,1_0.5,2.0,1"] + tail,
+         "bad.csv:5: could not convert '1_0.5,2.0,1' to x, y and support"),
+        (head + ["3\x00" + row[1:]] + tail, "bad.csv:5: expected id 3, got '3\\x00'"),
+        # the first bad line is named, whichever check it fails
+        (head + ["3,abc,2.0,1"] + tail[:2] + ["9,1.0,2.0,1"] + tail[3:],
+         "bad.csv:5: could not convert string to float: 'abc'"),
+        (head + ["3,inf,2.0,1"] + tail[:2] + ["6,1.0"] + tail[3:],
+         "bad.csv:5: non-finite coordinate"),
     ]
+    bad = tmp_path / "bad.csv"
     for edited, message in cases:
-        bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(edited) + "\n")
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_graph(bad)
+    # CRLF line ends count lines as LF ends do; a last row needs no line end
+    bad.write_bytes(("\r\n".join(short) + "\r\n").encode())
+    with pytest.raises(ValueError, match=re.escape("bad.csv:5: expected 4 fields")):
+        load_graph(bad)
+    bad.write_text("\n".join(lines[:-1] + ["79,1.0,2.0"]))
+    with pytest.raises(ValueError, match=re.escape("bad.csv:81: expected 4 fields")):
+        load_graph(bad)
+    # a header-only file is an empty landmark map, too small to triangulate
+    bad.write_text(lines[0] + "\n")
+    with pytest.raises(DegeneratePointSetError):
+        load_graph(bad)
 
 
 @pytest.mark.parametrize("text", ["5", "null", "[]", '"vertices"'])

@@ -286,3 +286,31 @@ def test_trunk_map_csv_round_trip(tmp_path):
     assert len(back) == len(tm)
     np.testing.assert_array_equal(back.positions, tm.positions)
     np.testing.assert_array_equal(back.support, tm.support)
+
+    # subnormal, largest and signed-zero coordinates come back bit for bit,
+    # and CRLF ends, blank lines and a missing last line end read the same
+    positions = np.array([[5e-324, -0.0], [1.7976931348623157e308, -5e-324], [0.1, -2.5]])
+    tm = TrunkMap(positions=positions, support=np.array([1, 40, 7]))
+    tm.save_csv(path)
+    text = path.read_text()
+    lines = text.splitlines()
+    variants = [
+        text,
+        text.replace("\n", "\r\n"),
+        text.rstrip("\n"),
+        "\n".join(lines[:2] + ["", "  "] + lines[2:]) + "\n",
+    ]
+    for variant in variants:
+        path.write_bytes(variant.encode())
+        back = TrunkMap.load_csv(path)
+        assert back.positions.tobytes() == tm.positions.tobytes()
+        assert back.support.dtype == tm.support.dtype
+        np.testing.assert_array_equal(back.support, tm.support)
+
+    # an empty map writes its header alone and reads back empty
+    TrunkMap(positions=np.zeros((0, 2)), support=np.zeros(0, dtype=np.intp)).save_csv(path)
+    assert path.read_text() == "id,x,y,support\n"
+    for text in ("id,x,y,support\n", "id,x,y,support", "id,x,y,support\r\n\r\n"):
+        path.write_bytes(text.encode())
+        back = TrunkMap.load_csv(path)
+        assert back.positions.shape == (0, 2) and back.support.shape == (0,)
