@@ -28,7 +28,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
 
 from .errors import DegeneratePointSetError
-from .geometry import as_points2
+from .geometry import as_points2, frozen
 from .trunks import TrunkMap
 
 _STAR_INDEX_LEAF_SIZE = 128  # stars per star-index leaf; see DTGraph.star_index
@@ -115,8 +115,7 @@ class DTGraph:
     def __post_init__(self):
         for name in ("points", "triangles", "neighbors", "areas", "sq_perimeters"):
             arr = np.asarray(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen(arr, arr.dtype, arr.shape))
 
     @property
     def n_vertices(self) -> int:
@@ -228,7 +227,7 @@ def triangulate(landmarks) -> DTGraph:
     boundary = np.unique(simplices[t[:, None], (k[:, None] + [1, 2]) % 3])
     hull = boundary[ConvexHull(pts[boundary]).vertices]
     return DTGraph(
-        points=pts.copy(),
+        points=pts,
         triangles=simplices,
         neighbors=neighbors,
         areas=areas,

@@ -14,12 +14,21 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-def normalize_angle(theta: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    r = theta % TWO_PI
-    if r > math.pi:
-        r -= TWO_PI
-    return r
+def normalize_angle(theta):
+    """Wrap angles to (-pi, pi]: a float for a scalar, an array elementwise."""
+    r = np.mod(theta, TWO_PI)
+    r = np.where(r > math.pi, r - TWO_PI, r)
+    return r if np.ndim(theta) else float(r)
+
+
+def frozen(values, dtype, shape) -> np.ndarray:
+    """A read-only copy of ``values`` cast to ``dtype`` and reshaped to ``shape``.
+
+    Records hold these, so no array their caller keeps can change them.
+    """
+    arr = np.asarray(values, dtype=dtype).reshape(shape).copy()
+    arr.flags.writeable = False
+    return arr
 
 
 def as_points2(points) -> np.ndarray:
@@ -56,10 +65,9 @@ class RigidTransform2D:
     t: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float).reshape(2)
+        t = frozen(self.t, float, 2)
         if not (math.isfinite(self.theta) and np.isfinite(t).all()):
             raise ValueError("non-finite transform parameters")
-        t.flags.writeable = False
         object.__setattr__(self, "theta", normalize_angle(float(self.theta)))
         object.__setattr__(self, "t", t)
 
@@ -101,9 +109,4 @@ def load_xyz(path) -> np.ndarray:
 
 def save_xyz(path, cloud, comment: str | None = None) -> None:
     """Write a cloud in the plain-text "x y z" format read by :func:`load_xyz`."""
-    pts = as_cloud(cloud)
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        for x, y, z in pts:
-            fh.write(f"{x:.6f} {y:.6f} {z:.6f}\n")
+    np.savetxt(path, as_cloud(cloud), fmt="%.6f", header=comment or "", encoding="utf-8")

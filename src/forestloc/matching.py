@@ -37,7 +37,7 @@ import numpy as np
 
 from .dtgraph import DTGraph, TriangleDescriptor, log_star_features
 from .errors import InsufficientMatchesError, NoOverlapError
-from .geometry import TWO_PI, RigidTransform2D
+from .geometry import TWO_PI, RigidTransform2D, normalize_angle
 
 _IRLS_RTOL = 1e-12  # stop once a step lowers the residual by less than this fraction
 _IRLS_MAX_ITER = 2000  # safety bound only; convergence ends the loop in practice
@@ -174,12 +174,6 @@ def _candidates(graph_local: DTGraph, graph_map: DTGraph, tolerance: float):
     return pairs[:, np.argsort(pairs[0], kind="stable")]
 
 
-def _wrap(theta):
-    """Angles wrapped to (-pi, pi], elementwise as normalize_angle wraps one."""
-    theta = np.mod(theta, TWO_PI)
-    return np.where(theta > math.pi, theta - TWO_PI, theta)
-
-
 def _complex(points: np.ndarray) -> np.ndarray:
     """(..., 2) float rows as complex numbers x + iy (a view where they are contiguous)."""
     return np.ascontiguousarray(points, dtype=np.float64).view(np.complex128)[..., 0]
@@ -207,7 +201,7 @@ def _fit(zl: np.ndarray, zg: np.ndarray):
     order = np.lexsort((betas, fit), axis=1)
     found = np.take_along_axis(betas, order[:, :1], axis=1)[:, 0]
     t = cg - cl * np.exp(1j * found)
-    theta = _wrap(found)
+    theta = normalize_angle(found)
     residual = _residual((theta[:, None], t.real[:, None], t.imag[:, None]), zl, zg)
     residual[~valid.any(axis=1)] = np.inf
     return theta, np.column_stack([t.real, t.imag]), residual
@@ -362,7 +356,8 @@ def localize(
         raise InsufficientMatchesError("insufficient matches", match_count=len(accepted))
     t_match = time.perf_counter()
     seeds = np.column_stack([theta[accepted], t[accepted]])
-    median = np.median(np.column_stack([_wrap(seeds[:, 0] - seeds[0, 0]), seeds[:, 1:]]), axis=0)
+    offsets = normalize_angle(seeds[:, 0] - seeds[0, 0])
+    median = np.median(np.column_stack([offsets, seeds[:, 1:]]), axis=0)
     seeds = np.vstack([seeds, median + [seeds[0, 0], 0.0, 0.0]])
     seeds[:, 0] = np.mod(seeds[:, 0], TWO_PI)
     pair_ids = (local.vertices[lrow[accepted]].ravel(), paired[accepted].ravel())

@@ -16,12 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleForestError
-from .geometry import TWO_PI, RigidTransform2D
+from .geometry import TWO_PI, RigidTransform2D, frozen
 from .trunks import TrunkMap
 
 
 # The stand: trunks at least MIN_SPACING apart, diameters ~ N(DBH_MEAN, DBH_STD).
 MIN_SPACING = 1.5  # meters, center to center
+# The placement grid: a cell of side MIN_SPACING / sqrt(2) holds at most one tree.
+_CELL = MIN_SPACING / math.sqrt(2.0)
+_MAX_CELLS = 10**7  # about 11 km^2 of stand
 DBH_MEAN = 0.3  # trunk diameter, meters
 DBH_STD = 0.08
 
@@ -58,6 +61,8 @@ class ForestSpec:
             raise ValueError(f"density must be finite and positive, got {self.density}")
         if not math.isfinite(self.density * w * h / 10000.0):
             raise ValueError(f"tree count must be finite, got {self.density}/ha on {self.area}")
+        if (int(w / _CELL) + 1) * (int(h / _CELL) + 1) > _MAX_CELLS:
+            raise ValueError(f"stand {self.area} needs over {_MAX_CELLS} placement cells")
 
 
 @dataclass(frozen=True)
@@ -67,12 +72,9 @@ class Forest:
     area: tuple
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float).reshape(-1, 2)
-        rad = np.asarray(self.radii, dtype=float).reshape(len(pos))
-        pos.flags.writeable = False
-        rad.flags.writeable = False
+        pos = frozen(self.positions, float, (-1, 2))
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "radii", rad)
+        object.__setattr__(self, "radii", frozen(self.radii, float, len(pos)))
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -89,50 +91,45 @@ def generate_forest(spec: ForestSpec) -> Forest:
 
     Deterministic for a fixed seed.  Raises InfeasibleForestError when
     the density cannot be packed at MIN_SPACING (fewer than 90% of the
-    target placed within the attempt budget).
+    target placed within the attempt budget), before any dart when the
+    grid has fewer cells than that.  A dart is tested against the trees
+    in the 5x5 cells around its own, the only cells within MIN_SPACING.
     """
     rng = np.random.default_rng(spec.seed)
     w, h = spec.area
     target = int(round(spec.density * w * h / 10000.0))
-    if target == 0:
-        return Forest(positions=np.zeros((0, 2)), radii=np.zeros(0), area=spec.area)
-    cell = MIN_SPACING / math.sqrt(2.0)
-    nx, ny = int(w / cell) + 1, int(h / cell) + 1
+    nx, ny = int(w / _CELL) + 1, int(h / _CELL) + 1
+    if math.ceil(0.9 * target) > nx * ny:
+        raise InfeasibleForestError(
+            f"infeasible forest: {target} trees at spacing {MIN_SPACING} "
+            f"exceed the {nx * ny} grid cells"
+        )
     grid = np.full((nx, ny), -1, dtype=np.intp)
     placed = np.empty((target, 2))
     count = 0
-    budget = 200 * target
     s2 = MIN_SPACING * MIN_SPACING
-    for _ in range(budget):
+    for _ in range(200 * target):
         x = rng.uniform(0.0, w)
         y = rng.uniform(0.0, h)
-        ix, iy = int(x / cell), int(y / cell)
-        ok = True
-        for gx in range(max(ix - 2, 0), min(ix + 3, nx)):
-            for gy in range(max(iy - 2, 0), min(iy + 3, ny)):
-                j = grid[gx, gy]
-                if j >= 0:
-                    dx = placed[j, 0] - x
-                    dy = placed[j, 1] - y
-                    if dx * dx + dy * dy < s2:
-                        ok = False
-                        break
-            if not ok:
+        ix, iy = int(x / _CELL), int(y / _CELL)
+        for j in grid[max(ix - 2, 0) : ix + 3, max(iy - 2, 0) : iy + 3].ravel().tolist():
+            if j >= 0:
+                dx, dy = placed[j, 0] - x, placed[j, 1] - y
+                if dx * dx + dy * dy < s2:
+                    break
+        else:
+            placed[count] = (x, y)
+            grid[ix, iy] = count
+            count += 1
+            if count == target:
                 break
-        if not ok:
-            continue
-        placed[count] = (x, y)
-        grid[ix, iy] = count
-        count += 1
-        if count == target:
-            break
     if count < math.ceil(0.9 * target):
         raise InfeasibleForestError(
             f"infeasible forest: placed {count} of {target} trees "
             f"at spacing {MIN_SPACING}"
         )
     radii = np.clip(rng.normal(DBH_MEAN, DBH_STD, count), 0.06, None) / 2.0
-    return Forest(positions=placed[:count].copy(), radii=radii, area=spec.area)
+    return Forest(positions=placed[:count], radii=radii, area=spec.area)
 
 
 @dataclass(frozen=True)
@@ -142,9 +139,7 @@ class SimulatedScan:
     visible_trunk_ids: frozenset
 
     def __post_init__(self):
-        c = np.asarray(self.cloud, dtype=float).reshape(-1, 3)
-        c.flags.writeable = False
-        object.__setattr__(self, "cloud", c)
+        object.__setattr__(self, "cloud", frozen(self.cloud, float, (-1, 3)))
 
 
 def _first_hits(forest: Forest, pose: RigidTransform2D, az: np.ndarray):
@@ -160,13 +155,9 @@ def _first_hits(forest: Forest, pose: RigidTransform2D, az: np.ndarray):
     index -1; on a tie the lower trunk index wins.
     """
     n_az = len(az)
-    s2d = np.full(n_az, np.inf)
-    hit_tree = np.full(n_az, -1, dtype=np.intp)
-    if len(forest) == 0:
-        return s2d, hit_tree
     rel = forest.positions - pose.t
     d2 = (rel**2).sum(axis=1)
-    near = np.flatnonzero(d2 <= (MAX_RANGE + forest.radii.max()) ** 2)
+    near = np.flatnonzero(d2 <= (MAX_RANGE + forest.radii.max(initial=0.0)) ** 2)
     rel, d2, radii = rel[near], d2[near], forest.radii[near]
     d = np.sqrt(d2)
     ratio = np.divide(radii, d, out=np.ones_like(d), where=d > radii)
@@ -194,6 +185,8 @@ def _first_hits(forest: Forest, pose: RigidTransform2D, az: np.ndarray):
     ray, tree, s = ray[hit], tree[hit], s[hit]
     order = np.lexsort((tree, s, ray))
     rays, first = np.unique(ray[order], return_index=True)
+    s2d = np.full(n_az, np.inf)
+    hit_tree = np.full(n_az, -1, dtype=np.intp)
     s2d[rays] = s[order[first]]
     hit_tree[rays] = near[tree[order[first]]]
     return s2d, hit_tree
@@ -218,39 +211,22 @@ def simulate_scan(
     elevations = np.radians(
         np.linspace(-VERTICAL_FOV / 2.0, VERTICAL_FOV / 2.0, CHANNELS)
     )
+    # one row per channel: its cosine and the horizontal range to the
+    # ground, inf for channels at or above the horizon
+    cos_e = np.array([[math.cos(e)] for e in elevations])
+    s_ground = np.array([[MOUNT_HEIGHT / -math.tan(e) if e < 0 else math.inf] for e in elevations])
+    rho_ground = s_ground / cos_e
 
     s2d, hit_tree = _first_hits(forest, pose, az)
-    trunk_hit = np.isfinite(s2d)
-    az_parts, elev_parts, rho_parts = [], [], []
-    trunk_rays = np.zeros(n_az, dtype=bool)  # azimuths with a trunk return
-    for elev in elevations:
-        cos_e = math.cos(elev)
-        rho_trunk = s2d / cos_e
-        if elev < 0.0:
-            s_ground = MOUNT_HEIGHT / -math.tan(elev)
-            rho_ground = s_ground / cos_e
-            ground_ok = rho_ground <= MAX_RANGE
-        else:
-            s_ground, rho_ground, ground_ok = np.inf, np.inf, False
-        take_trunk = trunk_hit & (s2d < s_ground) & (rho_trunk <= MAX_RANGE)
-        # the ground plane occludes any trunk surface farther along the ray
-        take_ground = (s_ground <= s2d) if ground_ok else np.zeros(n_az, dtype=bool)
-        trunk_rays |= take_trunk
-        idx = np.flatnonzero(take_trunk | take_ground)
-        if len(idx) == 0:
-            continue
-        is_ground = take_ground[idx]
-        az_parts.append(idx)
-        elev_parts.append(np.full(len(idx), elev))
-        rho_parts.append(np.where(is_ground, rho_ground, rho_trunk[idx]))
-
-    az_idx = np.concatenate(az_parts) if az_parts else np.zeros(0, np.intp)
-    elevs = np.concatenate(elev_parts) if elev_parts else np.zeros(0)
-    rho = np.concatenate(rho_parts) if rho_parts else np.zeros(0)
-    if noise > 0 and len(rho):
-        rho = rho + rng.normal(0.0, noise, len(rho))
+    rho_trunk = s2d / cos_e  # (channel, azimuth)
+    take_trunk = (s2d < s_ground) & (rho_trunk <= MAX_RANGE)
+    # the ground plane occludes any trunk surface farther along the ray
+    take_ground = (s_ground <= s2d) & (rho_ground <= MAX_RANGE)
+    ch, az_idx = np.nonzero(take_trunk | take_ground)  # channel-major, azimuth-minor
+    rho = np.where(take_ground[ch, az_idx], rho_ground[ch, 0], rho_trunk[ch, az_idx])
+    rho = rho + rng.normal(0.0, noise, len(rho))
     keep = (rho > 0.0) & (rho <= MAX_RANGE)
-    az_idx, elevs, rho = az_idx[keep], elevs[keep], rho[keep]
+    az_idx, elevs, rho = az_idx[keep], elevations[ch[keep]], rho[keep]
     horiz = rho * np.cos(elevs)
     cloud = np.column_stack(
         [
@@ -262,7 +238,7 @@ def simulate_scan(
     return SimulatedScan(
         cloud=cloud,
         true_pose=pose,
-        visible_trunk_ids=frozenset(np.unique(hit_tree[trunk_rays]).tolist()),
+        visible_trunk_ids=frozenset(np.unique(hit_tree[take_trunk.any(axis=0)]).tolist()),
     )
 
 
@@ -272,12 +248,8 @@ def aggregate_scans(scans) -> np.ndarray:
     if not scans:
         raise ValueError("aggregate_scans needs at least one scan")
     base_inv = scans[0].true_pose.inverse()
-    parts = []
-    for i, scan in enumerate(scans):
-        if i == 0:
-            parts.append(np.array(scan.cloud))
-            continue
-        rel = base_inv.compose(scan.true_pose)
-        xy = rel.apply(scan.cloud[:, :2])
+    parts = [scans[0].cloud]
+    for scan in scans[1:]:
+        xy = base_inv.compose(scan.true_pose).apply(scan.cloud[:, :2])
         parts.append(np.column_stack([xy, scan.cloud[:, 2]]))
     return np.vstack(parts)

@@ -20,7 +20,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import EmptyCloudError
-from .geometry import as_cloud, as_points2
+from .geometry import as_cloud, as_points2, frozen
 
 
 @dataclass(frozen=True)
@@ -68,14 +68,9 @@ class TrunkMap:
     support: np.ndarray  # (M,) int
 
     def __post_init__(self):
-        pos = as_points2(self.positions)
-        sup = np.asarray(self.support, dtype=np.intp).reshape(len(pos))
-        pos = pos.copy()
-        pos.flags.writeable = False
-        sup = sup.copy()
-        sup.flags.writeable = False
+        pos = frozen(as_points2(self.positions), float, (-1, 2))
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "support", sup)
+        object.__setattr__(self, "support", frozen(self.support, np.intp, len(pos)))
 
     def __len__(self) -> int:
         return len(self.positions)

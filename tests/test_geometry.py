@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from forestloc.geometry import RigidTransform2D, load_xyz, normalize_angle, save_xyz
+from forestloc.dtgraph import DTGraph, triangulate
+from forestloc.geometry import TWO_PI, RigidTransform2D, load_xyz, normalize_angle, save_xyz
+from forestloc.simulator import Forest, SimulatedScan
+from forestloc.trunks import TrunkMap
 
 
 def test_normalize_angle_range():
@@ -19,6 +22,58 @@ def test_normalize_angle_range():
 def test_normalize_angle_keeps_pi():
     assert normalize_angle(math.pi) == math.pi
     assert normalize_angle(-math.pi) == math.pi
+
+
+def wrap_one(theta):
+    """Reference: Python's float remainder, then one turn off above pi."""
+    r = theta % TWO_PI
+    return r - TWO_PI if r > math.pi else r
+
+
+def test_normalize_angle_array_matches_scalar():
+    """The array form wraps each angle to the scalar form's bits."""
+    special = [math.pi, -math.pi, 0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324]
+    special += [k * TWO_PI for k in range(-4, 5)] + [math.nextafter(math.pi, 4.0)]
+    angles = np.concatenate([special, np.random.default_rng(3).uniform(-50.0, 50.0, 10_000)])
+    wrapped = normalize_angle(angles)
+    assert isinstance(wrapped, np.ndarray) and wrapped.shape == angles.shape
+    scalars = [normalize_angle(a) for a in angles.tolist()]
+    assert all(type(r) is float for r in scalars)
+    expected = np.array([wrap_one(a) for a in angles.tolist()])
+    for got in (wrapped, np.array(scalars)):
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert math.copysign(1.0, normalize_angle(-0.0)) == 1.0  # fmod's sign rule
+    assert type(normalize_angle(np.float64(7.0))) is float
+
+
+def test_records_keep_their_own_arrays():
+    """Changing a caller's arrays after construction leaves each record as built."""
+    pts = np.random.default_rng(8).uniform(0.0, 50.0, (30, 2))
+    t = np.array([1.0, 2.0])
+    radii, support, cloud = np.full(30, 0.2), np.arange(30), pts.repeat(2, axis=1)[:, :3]
+    graph = triangulate(pts)
+    parts = {name: np.array(getattr(graph, name)) for name in
+             ("points", "triangles", "neighbors", "areas", "sq_perimeters")}
+    records = {
+        "pose": (RigidTransform2D(0.5, t), ["t"]),
+        "forest": (Forest(positions=pts, radii=radii, area=(50.0, 50.0)), ["positions", "radii"]),
+        "scan": (SimulatedScan(cloud, RigidTransform2D(0.0, t), frozenset()), ["cloud"]),
+        "trunks": (TrunkMap(positions=pts, support=support), ["positions", "support"]),
+        "graph": (DTGraph(hull_vertices=graph.hull_vertices, **parts), list(parts)),
+        "triangulated": (graph, ["points"]),
+    }
+    before = {key: [np.array(getattr(rec, f)) for f in fields]
+              for key, (rec, fields) in records.items()}
+    for arr in (pts, t, radii, support, cloud, *parts.values()):
+        arr[...] = np.nan if arr.dtype.kind == "f" else -7
+    for key, (rec, fields) in records.items():
+        for field, was in zip(fields, before[key]):
+            arr = getattr(rec, field)
+            np.testing.assert_array_equal(arr, was, err_msg=f"{key}.{field}")
+            assert not arr.flags.writeable, f"{key}.{field}"
+            with pytest.raises(ValueError):
+                arr[0] = 0
+    assert np.isfinite(records["pose"][0].t).all()
 
 
 def test_apply_identity():
@@ -124,6 +179,23 @@ def test_xyz_round_trip(tmp_path):
     save_xyz(path, cloud, comment="unit test cloud")
     back = load_xyz(path)
     np.testing.assert_allclose(back, cloud, atol=1e-6)
+
+
+def test_xyz_exact_text(tmp_path):
+    """Six decimals per coordinate, one row per line, the comment as a '# ' line."""
+    cloud = [[-0.0, 1e20, 2.5e-7], [-2.5e-7, 0.1234567, -3.0], [1.0, -1e-9, 12345.6789]]
+    rows = (
+        "-0.000000 100000000000000000000.000000 0.000000\n"
+        "-0.000000 0.123457 -3.000000\n"
+        "1.000000 -0.000000 12345.678900\n"
+    )
+    path = tmp_path / "c.xyz"
+    save_xyz(path, cloud, comment="site 0")
+    assert path.read_bytes() == ("# site 0\n" + rows).encode()
+    save_xyz(path, cloud)
+    assert path.read_bytes() == rows.encode()
+    save_xyz(path, np.zeros((0, 3)), comment="empty")
+    assert path.read_bytes() == b"# empty\n"
 
 
 def test_xyz_comments_and_whitespace(tmp_path):

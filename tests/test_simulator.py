@@ -11,10 +11,12 @@ from forestloc.errors import InfeasibleForestError
 from forestloc.geometry import RigidTransform2D
 from forestloc.simulator import (
     ANGULAR_RESOLUTION,
+    CHANNELS,
     HORIZONTAL_FOV,
     MAX_RANGE,
     MIN_SPACING,
     MOUNT_HEIGHT,
+    VERTICAL_FOV,
     Forest,
     ForestSpec,
     _first_hits,
@@ -61,6 +63,74 @@ def test_spec_rejects_overflowing_tree_count(area, density):
     """Finite sides and density whose tree count overflows are rejected."""
     with pytest.raises(ValueError, match="tree count must be finite"):
         ForestSpec(area=area, density=density)
+
+
+def test_spec_rejects_oversized_grid():
+    """A stand needing over 10**7 placement cells is refused when specified."""
+    ForestSpec(area=(3000.0, 3000.0))  # 2,829 x 2,829 cells
+    for area in ((1e6, 1e6), (3400.0, 3400.0), (1.2e7, 1.0)):
+        with pytest.raises(ValueError, match="placement cells"):
+            ForestSpec(area=area)
+
+
+def dart_throwing_reference(spec):
+    """Oracle: generate_forest's draws, each dart tested against every placed tree.
+
+    Returns (positions, radii, target); positions may hold fewer than 90%
+    of the target, where generate_forest must raise.
+    """
+    rng = np.random.default_rng(spec.seed)
+    w, h = spec.area
+    target = int(round(spec.density * w * h / 10000.0))
+    placed = np.empty((0, 2))
+    for _ in range(200 * target):
+        if len(placed) == target:
+            break
+        x = rng.uniform(0.0, w)
+        y = rng.uniform(0.0, h)
+        if not (((placed - (x, y)) ** 2).sum(axis=1) < MIN_SPACING**2).any():
+            placed = np.vstack([placed, (x, y)])
+    if len(placed) < math.ceil(0.9 * target):
+        return placed, None, target
+    radii = np.clip(rng.normal(0.3, 0.08, len(placed)), 0.06, None) / 2.0
+    return placed, radii, target
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ForestSpec(area=(30.0, 30.0), density=2500.0, seed=1),
+        ForestSpec(area=(25.0, 18.0), density=3000.0, seed=4),
+        ForestSpec(area=(40.0, 40.0), density=500.0, seed=9),
+        ForestSpec(area=(3.0, 1.0), density=100.0),
+        ForestSpec(area=(12.0, 12.0), density=4500.0, seed=2),
+    ],
+    ids=["dense", "jammed", "sparse", "no-trees", "infeasible"],
+)
+def test_forest_matches_all_pairs_reference(spec):
+    """Bit for bit the all-pairs stand, or InfeasibleForestError where it falls short."""
+    positions, radii, target = dart_throwing_reference(spec)
+    if radii is None:
+        with pytest.raises(InfeasibleForestError, match=f"placed {len(positions)} of {target}"):
+            generate_forest(spec)
+        return
+    forest = generate_forest(spec)
+    assert forest.positions.tobytes() == positions.tobytes()
+    assert forest.radii.tobytes() == radii.tobytes()
+
+
+def test_forest_overdense_fails_before_any_dart():
+    """More trees than grid cells (one tree per cell at most) fail before any allocation."""
+    for spec in (ForestSpec(area=(10.0, 10.0), density=50_000.0),
+                 ForestSpec(area=(10.0, 10.0), density=1e12)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InfeasibleForestError, match="exceed the 100 grid cells"):
+                generate_forest(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
 
 def test_forest_density_and_spacing():
@@ -218,6 +288,52 @@ def test_scan_rejects_bad_noise(noise):
     pose = RigidTransform2D(0.0, np.array([0.0, 0.0]))
     with pytest.raises(ValueError, match="noise must be finite and non-negative"):
         simulate_scan(forest, pose, noise=noise)
+
+
+def per_channel_reference(forest, pose, noise, seed):
+    """Oracle: the scan built one elevation channel at a time from _first_hits."""
+    rng = np.random.default_rng(seed)
+    az = fan_azimuths()
+    s2d, hit_tree = _first_hits(forest, pose, az)
+    elevations = np.radians(np.linspace(-VERTICAL_FOV / 2.0, VERTICAL_FOV / 2.0, CHANNELS))
+    rows, visible = [], set()
+    for elev in elevations:
+        cos_e = math.cos(elev)
+        s_ground = MOUNT_HEIGHT / -math.tan(elev) if elev < 0.0 else math.inf
+        for k in range(len(az)):
+            if s2d[k] < s_ground and s2d[k] / cos_e <= MAX_RANGE:
+                rows.append((k, elev, s2d[k] / cos_e))
+                visible.add(int(hit_tree[k]))
+            elif s_ground <= s2d[k] and s_ground / cos_e <= MAX_RANGE:
+                rows.append((k, elev, s_ground / cos_e))
+    k, elev, rho = (np.array(col) for col in zip(*rows))
+    if noise > 0:
+        rho = rho + rng.normal(0.0, noise, len(rho))
+    keep = (rho > 0.0) & (rho <= MAX_RANGE)
+    k, elev, rho = k[keep], elev[keep], rho[keep]
+    horiz = rho * np.cos(elev)
+    cloud = np.column_stack(
+        [horiz * np.cos(az[k]), horiz * np.sin(az[k]), MOUNT_HEIGHT + rho * np.sin(elev)]
+    )
+    return cloud, visible
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.03])
+def test_scan_matches_per_channel_reference(noise):
+    """The (channel x azimuth) pass gives the per-channel scan, bit for bit."""
+    forest = generate_forest(DRIVE_STAND)
+    for k, pose in enumerate(
+        [
+            RigidTransform2D(0.3, np.array([60.0, 125.0])),
+            RigidTransform2D(2.5, np.array([185.0, 125.0])),
+            RigidTransform2D(-1.9, np.array([20.0, 240.0])),
+            RigidTransform2D(math.pi, np.array([-30.0, 100.0])),  # outside the stand
+        ]
+    ):
+        scan = simulate_scan(forest, pose, noise=noise, seed=[7, k])
+        cloud, visible = per_channel_reference(forest, pose, noise, [7, k])
+        assert scan.cloud.tobytes() == cloud.tobytes()
+        assert scan.visible_trunk_ids == visible
 
 
 def test_aggregate_single_scan_verbatim():
