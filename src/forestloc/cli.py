@@ -14,7 +14,7 @@ from .dtgraph import load_graph, triangulate
 from .errors import ForestLocError, InsufficientMatchesError, NoOverlapError
 from .geometry import RigidTransform2D, load_xyz, save_xyz
 from .matching import MatchParams, localize
-from .pipeline import BenchmarkConfig, _simulate_site, run_benchmark
+from .pipeline import BenchmarkConfig, _simulate_site, run_benchmark, write_benchmark_csv
 from .simulator import ForestSpec, _check_noise, aggregate_scans, generate_forest
 from .trunks import TrunkExtractionParams, extract_trunk_map
 
@@ -196,7 +196,8 @@ def _cmd_benchmark(args) -> int:
         density=args.density,
         noise=args.noise,
     )
-    rows, _ = run_benchmark(config, out_dir=args.out)
+    rows, details = run_benchmark(config)
+    write_benchmark_csv(rows, details, args.out)
     if args.json:
         print(
             json.dumps(

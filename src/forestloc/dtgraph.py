@@ -28,7 +28,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
 
 from .errors import DegeneratePointSetError
-from .geometry import as_points2, frozen
+from .geometry import as_points, frozen
 from .trunks import TrunkMap
 
 _STAR_INDEX_LEAF_SIZE = 128  # stars per star-index leaf; see DTGraph.star_index
@@ -199,7 +199,7 @@ def triangulate(landmarks) -> DTGraph:
     positive or whose squared perimeter is not finite.
     """
     pts = getattr(landmarks, "positions", landmarks)
-    pts = as_points2(pts)
+    pts = as_points(pts, 2)
     if len(pts) < 3:
         raise DegeneratePointSetError("degenerate point set")
     try:

@@ -7,6 +7,7 @@ the plane.  Coordinates are meters.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,26 +32,22 @@ def frozen(values, dtype, shape) -> np.ndarray:
     return arr
 
 
-def as_points2(points) -> np.ndarray:
-    """Coerce to a float (N, 2) array, rejecting NaN/inf coordinates."""
+def as_points(points, dim: int) -> np.ndarray:
+    """Coerce to a float (N, dim) array, rejecting NaN/inf coordinates."""
     arr = np.asarray(points, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"expected (N, 2) planar points, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise ValueError(f"expected (N, {dim}) points, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("non-finite coordinate in point set")
     return arr
 
 
-def as_cloud(points) -> np.ndarray:
-    """Coerce to a float (N, 3) array, rejecting NaN/inf coordinates."""
-    arr = np.asarray(points, dtype=float)
-    if arr.size == 0:
-        return arr.reshape(0, 3)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError(f"expected (N, 3) points, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("non-finite coordinate in point cloud")
-    return arr
+def _as_count(value, name: str) -> int:
+    """``value`` as an int; ValueError unless ``operator.index`` takes it (no floats)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,9 +101,9 @@ def load_xyz(path) -> np.ndarray:
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
             rows.append([float(p) for p in parts])
-    return as_cloud(np.array(rows, dtype=float).reshape(-1, 3))
+    return as_points(np.array(rows, dtype=float).reshape(-1, 3), 3)
 
 
 def save_xyz(path, cloud, comment: str | None = None) -> None:
     """Write a cloud in the plain-text "x y z" format read by :func:`load_xyz`."""
-    np.savetxt(path, as_cloud(cloud), fmt="%.6f", header=comment or "", encoding="utf-8")
+    np.savetxt(path, as_points(cloud, 3), fmt="%.6f", header=comment or "", encoding="utf-8")

@@ -37,7 +37,7 @@ import numpy as np
 
 from .dtgraph import DTGraph, TriangleDescriptor, log_star_features
 from .errors import InsufficientMatchesError, NoOverlapError
-from .geometry import TWO_PI, RigidTransform2D, normalize_angle
+from .geometry import TWO_PI, RigidTransform2D, _as_count, normalize_angle
 
 _IRLS_RTOL = 1e-12  # stop once a step lowers the residual by less than this fraction
 _IRLS_MAX_ITER = 2000  # safety bound only; convergence ends the loop in practice
@@ -69,7 +69,7 @@ class MatchParams:
     def __post_init__(self):
         if not self.feature_tolerance > 0:
             raise ValueError("feature_tolerance must be positive")
-        if self.min_matches < 1:
+        if _as_count(self.min_matches, "min_matches") < 1:
             raise ValueError("min_matches must be at least 1")
 
 
@@ -119,23 +119,18 @@ def _index_hits(graph_local: DTGraph, graph_map: DTGraph, tolerance: float):
 
     For tol < 1, |g - f| <= tol * f puts every log feature of g within
     -log1p(-tol) of f's (the wider side of the band), so padded by
-    _INDEX_PAD the star index finds every passing star.  One bounded
-    _KNN_HITS-nearest query covers all local stars; a star whose last
-    neighbour is within the radius may have more, and each such star gets
-    a ball query of its own.  From tolerance 1 on every map star is a
-    hit, one local star per block.  A local star's hits all lie in one
-    block.
+    _INDEX_PAD the star index finds every passing star; at tolerance >= 1
+    the radius is infinite.  One bounded _KNN_HITS-nearest query covers
+    all local stars; a star whose last neighbour is within the radius may
+    have more, and each such star gets a ball query of its own.  A local
+    star's hits all lie in one block.
     """
-    local, n_map = graph_local.star_features, len(graph_map.star_features)
+    n_map = len(graph_map.star_features)
     if n_map == 0:
         return
     padded = tolerance * (1.0 + _INDEX_PAD)
-    if padded >= 1.0:
-        for row in range(len(local)):
-            yield np.full(n_map, row), np.arange(n_map)
-        return
-    radius = _INDEX_PAD - math.log1p(-padded)
-    keys = log_star_features(local)
+    radius = _INDEX_PAD - math.log1p(-padded) if padded < 1.0 else math.inf
+    keys = log_star_features(graph_local.star_features)
     k = min(_KNN_HITS, n_map)
     _, nearest = graph_map.star_index.query(
         keys, k=k, p=np.inf, distance_upper_bound=np.nextafter(radius, np.inf)

@@ -17,8 +17,8 @@ import numpy as np
 
 from .dtgraph import DTGraph, triangulate
 from .errors import ForestLocError
-from .geometry import RigidTransform2D, normalize_angle
-from .matching import LocalizationResult, MatchParams, localize
+from .geometry import RigidTransform2D, _as_count, normalize_angle
+from .matching import LocalizationResult, localize
 from .simulator import (
     ForestSpec,
     _check_noise,
@@ -33,7 +33,6 @@ from .trunks import TrunkExtractionParams, TrunkMap, extract_trunk_map
 class PipelineResult:
     localization: LocalizationResult
     trunk_map: TrunkMap
-    graph_local: DTGraph
     timings: dict
 
 
@@ -41,7 +40,6 @@ def run_pipeline(
     cloud,
     graph_map: DTGraph,
     extraction: TrunkExtractionParams | None = None,
-    match: MatchParams | None = None,
 ) -> PipelineResult:
     """Extract trunks, triangulate, and localize; stage timings recorded.
 
@@ -59,7 +57,7 @@ def run_pipeline(
         timings["triangulate"] = time.perf_counter() - t0
         stage = "localize"
         t0 = time.perf_counter()
-        result = localize(graph_local, graph_map, match)
+        result = localize(graph_local, graph_map)
         timings["localize"] = time.perf_counter() - t0
     except ForestLocError as exc:
         exc.stage = stage
@@ -68,7 +66,6 @@ def run_pipeline(
     return PipelineResult(
         localization=result,
         trunk_map=trunk_map,
-        graph_local=graph_local,
         timings=timings,
     )
 
@@ -92,14 +89,14 @@ class BenchmarkConfig:
     noise: float = 0.03  # range noise sigma, meters
 
     def __post_init__(self):
-        frames = tuple(int(f) for f in self.frames_list)
+        frames = tuple(_as_count(f, "frame count") for f in self.frames_list)
         if len(frames) == 0:
             raise ValueError("frames_list must not be empty")
         if any(f < 1 for f in frames):
             raise ValueError("frame counts must be positive")
         if any(b <= a for a, b in zip(frames, frames[1:])):
             raise ValueError("frames_list must be strictly ascending")
-        if self.sites < 1:
+        if _as_count(self.sites, "sites") < 1:
             raise ValueError("sites must be positive")
         _check_noise(self.noise)
         object.__setattr__(self, "frames_list", frames)
@@ -145,12 +142,11 @@ def _simulate_site(forest, site_pose, n_frames, spacing, noise, seed):
     return scans
 
 
-def run_benchmark(config: BenchmarkConfig, out_dir=None):
-    """Run the frames-aggregation benchmark.
+def run_benchmark(config: BenchmarkConfig):
+    """Run the frames-aggregation benchmark and return (rows, details).
 
-    Returns (rows, details); when out_dir is given also writes
-    results.csv and detail.csv there.  Fixed seeds give identical output
-    apart from the timing columns.
+    write_benchmark_csv writes them out.  Fixed seeds give identical
+    output apart from the timing columns.
     """
     forest = generate_forest(
         ForestSpec(area=config.area, density=config.density, seed=config.seed)
@@ -242,8 +238,6 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None):
                 t_match=float(np.mean([d.t_match for d in sub])),
             )
         )
-    if out_dir is not None:
-        write_benchmark_csv(rows, details, out_dir)
     return rows, details
 
 

@@ -69,7 +69,6 @@ class ForestSpec:
 class Forest:
     positions: np.ndarray  # (n, 2) trunk centers
     radii: np.ndarray  # (n,)
-    area: tuple
 
     def __post_init__(self):
         pos = frozen(self.positions, float, (-1, 2))
@@ -129,7 +128,7 @@ def generate_forest(spec: ForestSpec) -> Forest:
             f"at spacing {MIN_SPACING}"
         )
     radii = np.clip(rng.normal(DBH_MEAN, DBH_STD, count), 0.06, None) / 2.0
-    return Forest(positions=placed[:count], radii=radii, area=spec.area)
+    return Forest(positions=placed[:count], radii=radii)
 
 
 @dataclass(frozen=True)

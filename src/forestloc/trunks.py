@@ -20,7 +20,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import EmptyCloudError
-from .geometry import as_cloud, as_points2, frozen
+from .geometry import _as_count, as_points, frozen
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class TrunkExtractionParams:
                 raise ValueError(f"{name} must be finite and positive")
         if self.probe_tolerance >= self.probe_height:
             raise ValueError("probe_tolerance must be smaller than probe_height")
-        if self.min_cluster_size < 1:
+        if _as_count(self.min_cluster_size, "min_cluster_size") < 1:
             raise ValueError("min_cluster_size must be at least 1")
 
 
@@ -68,7 +68,7 @@ class TrunkMap:
     support: np.ndarray  # (M,) int
 
     def __post_init__(self):
-        pos = frozen(as_points2(self.positions), float, (-1, 2))
+        pos = frozen(as_points(self.positions, 2), float, (-1, 2))
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "support", frozen(self.support, np.intp, len(pos)))
 
@@ -166,7 +166,7 @@ def select_trunk_points(cloud, params: TrunkExtractionParams | None = None) -> n
     Returned indices are ascending.
     """
     params = params or TrunkExtractionParams()
-    pts = as_cloud(cloud)
+    pts = as_points(cloud, 3)
     if len(pts) == 0:
         raise EmptyCloudError("empty input cloud")
     probes = pts + np.array([0.0, 0.0, params.probe_height])
@@ -185,7 +185,7 @@ def _cluster_landmarks(points2, params: TrunkExtractionParams) -> tuple[np.ndarr
     so rows are ordered by each cluster's lowest member index.  A centroid
     is the mean of its members' x and y, summed in point order.
     """
-    pts = as_points2(points2)
+    pts = as_points(points2, 2)
     n = len(pts)
     pairs = cKDTree(pts).query_pairs(params.cluster_tolerance, output_type="ndarray")
     adj = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
@@ -211,7 +211,7 @@ def cluster_trunk_points(
 def extract_trunk_map(cloud, params: TrunkExtractionParams | None = None) -> TrunkMap:
     """Full extraction: probe test, clustering, one centroid landmark per cluster row."""
     params = params or TrunkExtractionParams()
-    pts = as_cloud(cloud)
+    pts = as_points(cloud, 3)
     keep = select_trunk_points(pts, params)
     positions, support = _cluster_landmarks(pts[keep][:, :2], params)
     return TrunkMap(positions=positions, support=support)

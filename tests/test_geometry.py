@@ -56,7 +56,7 @@ def test_records_keep_their_own_arrays():
              ("points", "triangles", "neighbors", "areas", "sq_perimeters")}
     records = {
         "pose": (RigidTransform2D(0.5, t), ["t"]),
-        "forest": (Forest(positions=pts, radii=radii, area=(50.0, 50.0)), ["positions", "radii"]),
+        "forest": (Forest(positions=pts, radii=radii), ["positions", "radii"]),
         "scan": (SimulatedScan(cloud, RigidTransform2D(0.0, t), frozenset()), ["cloud"]),
         "trunks": (TrunkMap(positions=pts, support=support), ["positions", "support"]),
         "graph": (DTGraph(hull_vertices=graph.hull_vertices, **parts), list(parts)),
@@ -196,6 +196,8 @@ def test_xyz_exact_text(tmp_path):
     assert path.read_bytes() == rows.encode()
     save_xyz(path, np.zeros((0, 3)), comment="empty")
     assert path.read_bytes() == b"# empty\n"
+    empty = load_xyz(path)
+    assert empty.shape == (0, 3) and empty.dtype == np.float64
 
 
 def test_xyz_comments_and_whitespace(tmp_path):

@@ -87,6 +87,13 @@ def test_params_validation():
         MatchParams(min_matches=0)
 
 
+@pytest.mark.parametrize("value", [1.5, 2.0, np.float64(3.0)])
+def test_params_reject_fractional_min_matches(value):
+    with pytest.raises(ValueError, match="min_matches must be an integer"):
+        MatchParams(min_matches=value)
+    assert MatchParams(min_matches=np.int64(2)).min_matches == 2
+
+
 def test_dissimilarity_identity():
     d = TriangleDescriptor(2.5, 40.0)
     assert dissimilarity(d, d) == 0.0
@@ -885,8 +892,10 @@ def test_grid_instances_overflow_nearest_hits():
         pytest.param(0.3, WITH_WIDE_WINDOW + LARGE_MAP + GRID + GRID_AND_STAND, id="0.3"),
         pytest.param(0.5, GRID + GRID_AND_STAND, id="0.5"),
         pytest.param(0.8, SMALL_INSTANCES + GRID, id="0.8"),
+        pytest.param(0.999999, SMALL_INSTANCES + GRID, id="0.999999"),
         pytest.param(1.0, SMALL_INSTANCES, id="1.0"),
         pytest.param(1.5, WITH_WIDE_WINDOW + GRID, id="1.5"),
+        pytest.param(math.inf, SMALL_INSTANCES + GRID, id="inf"),
     ],
 )
 def test_candidates_match_linear_scan(monkeypatch, tolerance, instances):

@@ -88,6 +88,21 @@ def test_benchmark_config_validation():
         BenchmarkConfig(sites=0)
 
 
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"frames_list": (1.9, 2.5)}, "frame count must be an integer"),
+        ({"frames_list": (1, 3.0)}, "frame count must be an integer"),
+        ({"sites": 1.5}, "sites must be an integer"),
+        ({"sites": 2.0}, "sites must be an integer"),
+    ],
+    ids=["frames_list", "frames_list-whole-float", "sites", "sites-whole-float"],
+)
+def test_benchmark_config_rejects_fractional_counts(settings, message):
+    with pytest.raises(ValueError, match=message):
+        BenchmarkConfig(**settings)
+
+
 @pytest.mark.parametrize("noise", [math.nan, math.inf, -0.01])
 def test_benchmark_config_rejects_bad_noise(noise):
     with pytest.raises(ValueError, match="noise must be finite and non-negative"):
@@ -164,8 +179,8 @@ def strip_timing_columns(csv_text, header):
 def test_benchmark_deterministic(tmp_path):
     """Identical seeds give identical CSVs apart from wall-clock columns."""
     cfg = BenchmarkConfig(frames_list=(1, 3), sites=2, seed=4, area=(150.0, 150.0))
-    run_benchmark(cfg, out_dir=tmp_path / "a")
-    run_benchmark(cfg, out_dir=tmp_path / "b")
+    write_benchmark_csv(*run_benchmark(cfg), tmp_path / "a")
+    write_benchmark_csv(*run_benchmark(cfg), tmp_path / "b")
     for name, header in (("results.csv", RESULTS_HEADER), ("detail.csv", DETAIL_HEADER)):
         a = strip_timing_columns((tmp_path / "a" / name).read_text(), header)
         b = strip_timing_columns((tmp_path / "b" / name).read_text(), header)

@@ -29,12 +29,8 @@ DRIVE_STAND = ForestSpec(area=(250.0, 250.0), density=352.0, seed=2)  # 2,200 tr
 BENCHMARK_STAND = ForestSpec(area=(250.0, 250.0), density=350.0, seed=0)  # BenchmarkConfig()
 
 
-def one_tree(x, y, radius=0.2, area=(40.0, 40.0)):
-    return Forest(
-        positions=np.array([[x, y]], dtype=float),
-        radii=np.array([radius]),
-        area=area,
-    )
+def one_tree(x, y, radius=0.2):
+    return Forest(positions=np.array([[x, y]], dtype=float), radii=np.array([radius]))
 
 
 def test_spec_validation():
@@ -204,7 +200,6 @@ def test_scan_occlusion():
     forest = Forest(
         positions=np.array([[5.0, 0.0], [9.0, 0.0]]),
         radii=np.array([0.3, 0.3]),
-        area=(40.0, 40.0),
     )
     pose = RigidTransform2D(0.0, np.array([0.0, 0.0]))
     scan = simulate_scan(forest, pose, noise=0.0)
@@ -216,7 +211,6 @@ def test_scan_occlusion_segment_property():
     forest = Forest(
         positions=np.array([[6.0, 1.0], [10.0, -2.0], [8.0, 4.0]]),
         radii=np.array([0.25, 0.3, 0.2]),
-        area=(40.0, 40.0),
     )
     pose = RigidTransform2D(0.3, np.array([1.0, 0.5]))
     scan = simulate_scan(forest, pose, noise=0.0)
@@ -234,7 +228,7 @@ def test_scan_occlusion_segment_property():
 
 
 def test_scan_empty_forest_ground_only():
-    empty = Forest(positions=np.zeros((0, 2)), radii=np.zeros(0), area=(40.0, 40.0))
+    empty = Forest(positions=np.zeros((0, 2)), radii=np.zeros(0))
     pose = RigidTransform2D(0.0, np.array([20.0, 20.0]))
     scan = simulate_scan(empty, pose, noise=0.0)
     assert len(scan.cloud) > 0
@@ -346,7 +340,7 @@ def test_aggregate_single_scan_verbatim():
 
 def test_aggregate_two_scans_surfaces_coincide():
     """The same trunk appears at the same place from two poses."""
-    forest = one_tree(10.0, 10.0, radius=0.25, area=(30.0, 30.0))
+    forest = one_tree(10.0, 10.0, radius=0.25)
     p1 = RigidTransform2D(0.0, np.array([5.0, 10.0]))
     p2 = RigidTransform2D(0.5, np.array([6.0, 9.0]))
     s1 = simulate_scan(forest, p1, noise=0.0)
@@ -449,7 +443,6 @@ def test_first_hits_sensor_inside_trunk():
     forest = Forest(
         positions=np.array([[5.0, 0.0], [0.1, 0.0], [-3.0, 4.0]]),
         radii=np.array([0.3, 0.5, 0.3]),
-        area=(20.0, 20.0),
     )
     for theta in (0.0, 2.0, math.pi):
         _, tree = assert_same_hits(forest, RigidTransform2D(theta, np.zeros(2)))
@@ -495,7 +488,6 @@ def test_first_hits_equal_range_tie_takes_lower_index():
     forest = Forest(
         positions=np.array([[0.0, 8.0], [6.0, 0.0], [6.0, 0.0]]),
         radii=np.array([0.3, 0.25, 0.25]),
-        area=(20.0, 20.0),
     )
     _, tree = assert_same_hits(forest, RigidTransform2D(0.0, np.zeros(2)))
     assert (tree == 1).sum() > 5
@@ -505,19 +497,19 @@ def test_first_hits_equal_range_tie_takes_lower_index():
 def test_first_hits_at_max_range():
     """A trunk centred at MAX_RANGE + r is in range; one farther out is not."""
     r = 0.25
-    forest = one_tree(MAX_RANGE + r, 0.0, r, area=(300.0, 300.0))
+    forest = one_tree(MAX_RANGE + r, 0.0, r)
     s, tree = assert_same_hits(forest, RigidTransform2D(0.0, np.zeros(2)))
     assert (tree == 0).any()
     assert MAX_RANGE - 1e-9 <= s[tree == 0].min() < MAX_RANGE + 0.1
-    forest = one_tree(MAX_RANGE + r + 0.01, 0.0, r, area=(300.0, 300.0))
+    forest = one_tree(MAX_RANGE + r + 0.01, 0.0, r)
     _, tree = assert_same_hits(forest, RigidTransform2D(0.0, np.zeros(2)))
     assert (tree == -1).all()
 
 
 def test_first_hits_nothing_to_hit():
     """An empty stand and a stand with no trunk in range both miss everywhere."""
-    empty = Forest(positions=np.zeros((0, 2)), radii=np.zeros(0), area=(40.0, 40.0))
-    far = one_tree(150.0, 150.0, 0.3, area=(200.0, 200.0))
+    empty = Forest(positions=np.zeros((0, 2)), radii=np.zeros(0))
+    far = one_tree(150.0, 150.0, 0.3)
     for forest in (empty, far):
         s, tree = assert_same_hits(forest, RigidTransform2D(0.4, np.array([10.0, 10.0])))
         assert (tree == -1).all() and np.isinf(s).all()

@@ -47,6 +47,13 @@ def test_params_validation():
         TrunkExtractionParams(min_cluster_size=0)
 
 
+@pytest.mark.parametrize("value", [2.5, 30.0, np.float64(3.0)])
+def test_params_reject_fractional_min_cluster_size(value):
+    with pytest.raises(ValueError, match="min_cluster_size must be an integer"):
+        TrunkExtractionParams(min_cluster_size=value)
+    assert TrunkExtractionParams(min_cluster_size=np.int64(5)).min_cluster_size == 5
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("name", ["probe_height", "probe_tolerance", "cluster_tolerance"])
 def test_params_reject_non_finite_lengths(name, value):
@@ -74,8 +81,13 @@ def test_horizontal_plane_rejected():
 
 
 def test_empty_cloud_rejected():
+    """An empty (0, 3) cloud is empty; an empty array of another shape is no cloud."""
     with pytest.raises(EmptyCloudError, match="empty input cloud"):
         select_trunk_points(np.zeros((0, 3)), TrunkExtractionParams())
+    for cloud in ([], np.zeros((0, 2)), np.zeros((0, 7))):
+        for extract in (select_trunk_points, extract_trunk_map):
+            with pytest.raises(ValueError, match=r"expected \(N, 3\) points, got shape"):
+                extract(cloud)
 
 
 def test_subset_property():
