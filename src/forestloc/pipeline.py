@@ -98,6 +98,11 @@ class BenchmarkConfig:
             raise ValueError("frames_list must be strictly ascending")
         if _as_count(self.sites, "sites") < 1:
             raise ValueError("sites must be positive")
+        _as_count(self.seed, "seed")
+        if any(side <= 2 * SITE_MARGIN for side in self.area):
+            raise ValueError(
+                f"area sides must exceed twice SITE_MARGIN ({2 * SITE_MARGIN:g} m), got {self.area}"
+            )
         _check_noise(self.noise)
         object.__setattr__(self, "frames_list", frames)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleForestError
-from .geometry import TWO_PI, RigidTransform2D, frozen
+from .geometry import TWO_PI, RigidTransform2D, _as_count, frozen
 from .trunks import TrunkMap
 
 
@@ -63,6 +63,7 @@ class ForestSpec:
             raise ValueError(f"tree count must be finite, got {self.density}/ha on {self.area}")
         if (int(w / _CELL) + 1) * (int(h / _CELL) + 1) > _MAX_CELLS:
             raise ValueError(f"stand {self.area} needs over {_MAX_CELLS} placement cells")
+        _as_count(self.seed, "seed")
 
 
 @dataclass(frozen=True)

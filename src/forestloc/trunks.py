@@ -184,11 +184,24 @@ def _cluster_landmarks(points2, params: TrunkExtractionParams) -> tuple[np.ndarr
     connected_components numbers components by their lowest point index,
     so rows are ordered by each cluster's lowest member index.  A centroid
     is the mean of its members' x and y, summed in point order.
+
+    An aggregated 10-scan cloud holds millions of linked pairs (7.7M on the
+    heaviest of the benchmark's first drive-10f queries), so each
+    pair-sized buffer is freed as soon as the next one exists.  The int64
+    pairs (16 B a pair) go once their int32 rows and columns (8 B) do, and
+    the COO matrix (16 B), which shares those, once its CSR form (12 B)
+    does; connected_components then adds the transpose (12 B).  The peak
+    is the COO and its CSR during tocsr, 28 B a pair; kept alive together,
+    the buffers would reach 56 B.
     """
     pts = as_points(points2, 2)
     n = len(pts)
     pairs = cKDTree(pts).query_pairs(params.cluster_tolerance, output_type="ndarray")
-    adj = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    ij = np.ascontiguousarray(pairs.T, dtype=np.int32 if n < 2**31 else np.int64)
+    del pairs
+    adj = coo_matrix((np.ones(ij.shape[1]), (ij[0], ij[1])), shape=(n, n))
+    del ij
+    adj = adj.tocsr()
     _, labels = connected_components(adj, directed=False)
     sizes = np.bincount(labels)
     sums = np.column_stack([np.bincount(labels, weights=pts[:, k]) for k in (0, 1)])

@@ -419,6 +419,16 @@ def test_benchmark_rejects_non_finite_settings(tmp_path, capsys, args, message):
     assert not out.exists()
 
 
+def test_benchmark_rejects_narrow_stand(tmp_path, capsys):
+    """A side of twice SITE_MARGIN or less leaves no room for a site."""
+    out = tmp_path / "bench"
+    code = main(["benchmark", "--out", str(out), "--area", "60x60", "--sites", "1", "--frames", "1"])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "SITE_MARGIN" in err
+    assert not out.exists()
+
+
 def test_benchmark_bad_frames(tmp_path, capsys):
     for frames in ("3,1", "1,1"):
         out = tmp_path / frames

@@ -9,6 +9,7 @@ from forestloc.dtgraph import triangulate
 from forestloc.errors import NoOverlapError
 from forestloc.geometry import RigidTransform2D, normalize_angle
 from forestloc.pipeline import (
+    SITE_MARGIN,
     SUCCESS_ROTATION_DEG,
     SUCCESS_TRANSLATION,
     BenchmarkConfig,
@@ -95,12 +96,29 @@ def test_benchmark_config_validation():
         ({"frames_list": (1, 3.0)}, "frame count must be an integer"),
         ({"sites": 1.5}, "sites must be an integer"),
         ({"sites": 2.0}, "sites must be an integer"),
+        ({"seed": 2.5}, "seed must be an integer"),
+        ({"seed": 3.0}, "seed must be an integer"),
     ],
-    ids=["frames_list", "frames_list-whole-float", "sites", "sites-whole-float"],
+    ids=[
+        "frames_list",
+        "frames_list-whole-float",
+        "sites",
+        "sites-whole-float",
+        "seed",
+        "seed-whole-float",
+    ],
 )
 def test_benchmark_config_rejects_fractional_counts(settings, message):
     with pytest.raises(ValueError, match=message):
         BenchmarkConfig(**settings)
+
+
+@pytest.mark.parametrize("area", [(60.0, 250.0), (250.0, 2 * SITE_MARGIN), (-100.0, 250.0)])
+def test_benchmark_config_rejects_narrow_stand(area):
+    """Sites keep SITE_MARGIN from every edge, so each side must exceed twice it."""
+    with pytest.raises(ValueError, match="SITE_MARGIN"):
+        BenchmarkConfig(area=area)
+    BenchmarkConfig(area=(2 * SITE_MARGIN + 1.0, 2 * SITE_MARGIN + 1.0))
 
 
 @pytest.mark.parametrize("noise", [math.nan, math.inf, -0.01])

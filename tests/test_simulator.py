@@ -61,6 +61,14 @@ def test_spec_rejects_overflowing_tree_count(area, density):
         ForestSpec(area=area, density=density)
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0)])
+def test_spec_rejects_fractional_seed(seed):
+    """A fractional seed is refused when specified, not at numpy's first draw."""
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        ForestSpec(area=(10.0, 10.0), seed=seed)
+    assert ForestSpec(area=(10.0, 10.0), seed=np.int64(5)).seed == 5
+
+
 def test_spec_rejects_oversized_grid():
     """A stand needing over 10**7 placement cells is refused when specified."""
     ForestSpec(area=(3000.0, 3000.0))  # 2,829 x 2,829 cells

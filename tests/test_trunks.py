@@ -1,14 +1,22 @@
 """Tests for forestloc.trunks — probe selection, clustering, landmark maps."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
+import forestloc.trunks
 from forestloc.errors import EmptyCloudError
 from forestloc.geometry import RigidTransform2D
 from forestloc.simulator import ForestSpec, aggregate_scans, generate_forest, simulate_scan
 from forestloc.trunks import (
     TrunkExtractionParams,
     TrunkMap,
+    _cluster_landmarks,
     cluster_trunk_points,
     extract_trunk_map,
     select_trunk_points,
@@ -214,6 +222,83 @@ def test_clusters_match_oracle(min_cluster_size):
         np.testing.assert_array_equal(got_centroids, want_centroids, err_msg=name)
         if min_cluster_size == 1:
             assert sum(want_sizes) == len(pts), name
+
+
+def dense_discs():
+    """Four discs of 700 points, 0.12 m in radius and 10 m apart.
+
+    Every pair within a disc is linked at the default 0.5 m tolerance, so
+    2,800 points give about 0.98M pairs.
+    """
+    rng = np.random.default_rng(8)
+    r = 0.12 * np.sqrt(rng.uniform(0.0, 1.0, (4, 700)))
+    a = rng.uniform(0.0, 2 * np.pi, (4, 700))
+    x = r * np.cos(a) + 10.0 * np.arange(4)[:, None]
+    return np.column_stack([x.ravel(), (r * np.sin(a)).ravel()])
+
+
+def test_cluster_memory_per_pair():
+    """Each pair-sized buffer is freed as soon as the next one exists.
+
+    tracemalloc sees the int32 index arrays, the COO matrix, its CSR form
+    and connected_components' transpose, but not query_pairs' own output.
+    Freed in turn they peak at 28 B a pair (COO and CSR during tocsr);
+    keeping the index arrays to the end peaked at 32 B, and keeping every
+    buffer at 40 B.
+    """
+    pts = dense_discs()
+    params = TrunkExtractionParams()
+    n_pairs = len(cKDTree(pts).query_pairs(params.cluster_tolerance, output_type="ndarray"))
+    assert n_pairs > 900_000
+    tracemalloc.start()
+    try:
+        centroids, sizes = _cluster_landmarks(pts, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / n_pairs < 30.0
+    want_centroids, want_sizes = single_linkage_oracle(pts, params)
+    np.testing.assert_array_equal(sizes, want_sizes)
+    np.testing.assert_array_equal(centroids, want_centroids)
+
+
+def test_cluster_frees_pairs_and_coo_before_labelling(monkeypatch):
+    """query_pairs' array, which tracemalloc cannot see, and the COO matrix
+    are both gone by the time connected_components runs."""
+    buffers, alive = [], []
+
+    class Tree(cKDTree):
+        def query_pairs(self, *args, **kwargs):
+            pairs = super().query_pairs(*args, **kwargs)
+            buffers.append(weakref.ref(pairs))
+            return pairs
+
+    def coo(*args, **kwargs):
+        adj = coo_matrix(*args, **kwargs)
+        buffers.append(weakref.ref(adj))
+        return adj
+
+    def labels(graph, **kwargs):
+        alive.extend(ref() is not None for ref in buffers)
+        return connected_components(graph, **kwargs)
+
+    monkeypatch.setattr(forestloc.trunks, "cKDTree", Tree)
+    monkeypatch.setattr(forestloc.trunks, "coo_matrix", coo)
+    monkeypatch.setattr(forestloc.trunks, "connected_components", labels)
+    _, sizes = _cluster_landmarks(dense_discs(), TrunkExtractionParams())
+    np.testing.assert_array_equal(sizes, [700] * 4)
+    assert alive == [False, False]
+
+
+def test_cluster_landmarks_empty_and_single_point():
+    params = TrunkExtractionParams(min_cluster_size=1)
+    centroids, sizes = _cluster_landmarks(np.zeros((0, 2)), params)
+    assert centroids.shape == (0, 2) and sizes.shape == (0,)
+    centroids, sizes = _cluster_landmarks(np.array([[3.0, -2.0]]), params)
+    np.testing.assert_array_equal(centroids, [[3.0, -2.0]])
+    np.testing.assert_array_equal(sizes, [1])
+    centroids, sizes = _cluster_landmarks(np.array([[3.0, -2.0]]), TrunkExtractionParams())
+    assert centroids.shape == (0, 2) and sizes.shape == (0,)
 
 
 def test_extract_matches_oracle():
